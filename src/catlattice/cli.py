@@ -200,7 +200,7 @@ def _build_parser() -> _Parser:
         type=int,
         default=1,
         metavar="N",
-        help="cap on worker parallelism (output is identical at any value)",
+        help="accepted and ignored; every command runs in one thread",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -83,14 +83,14 @@ def coeff_no_bottom_returns(C: Connection) -> Laurent:
     return monomial_shift(substitute_power(q, -4), 2 * beta(C) - C.m * C.n)
 
 
-def reduce_removable(C: Connection) -> Optional[tuple[Laurent, Connection]]:
-    """First removable-arc rewrite: (monomial factor, reduced state)."""
+def reduce_removable(C: Connection) -> Optional[tuple[Laurent, Connection, Pair]]:
+    """First removable-arc rewrite: (monomial factor, reduced state, arc)."""
     arcs = find_removable_arcs(C)
     if not arcs:
         return None
     c = arcs[0]
     a, b = extended_labels(C, c)
-    return monomial(b - a), remove_arc(C, c)
+    return monomial(b - a), remove_arc(C, c), c
 
 
 class LocalFamily(NamedTuple):
@@ -226,6 +226,15 @@ def coefficient(
     return value, trace
 
 
+def _tree_step(C: Connection, trace) -> Laurent:
+    """Tree-formula value of a realizable state without bottom returns."""
+    value = coeff_no_bottom_returns(C)
+    # the formula's top term is A^(2*beta - mn), so beta need not be rerun
+    b = (max_degree(value) + C.m * C.n) // 2
+    trace.append(TraceStep("tree-formula", f"m={C.m} n={C.n} beta={b}", value))
+    return value
+
+
 def _reduce(C, trace, seen, budget_bits) -> Laurent:
     if not is_realizable(C):
         trace.append(
@@ -234,29 +243,12 @@ def _reduce(C, trace, seen, budget_bits) -> Laurent:
         return dict(ZERO)
     census = classify(C)
     if census.bottom_returns == 0:
-        value = coeff_no_bottom_returns(C)
-        trace.append(
-            TraceStep(
-                "tree-formula",
-                f"m={C.m} n={C.n} beta={beta(C)}",
-                value,
-            )
-        )
-        return value
+        return _tree_step(C, trace)
     if census.top_returns == 0:
         trace.append(
             TraceStep("rotate-pi", "bottom returns only; half-turn image", dict(ONE))
         )
-        flipped = rotate_pi(C)
-        value = coeff_no_bottom_returns(flipped)
-        trace.append(
-            TraceStep(
-                "tree-formula",
-                f"m={C.m} n={C.n} beta={beta(flipped)}",
-                value,
-            )
-        )
-        return value
+        return _tree_step(rotate_pi(C), trace)
     parts = vertical_decompose(C)
     if len(parts) > 1:
         trace.append(
@@ -272,8 +264,7 @@ def _reduce(C, trace, seen, budget_bits) -> Laurent:
         return value
     step = reduce_removable(C)
     if step is not None:
-        factor, reduced = step
-        arc = find_removable_arcs(C)[0]
+        factor, reduced, arc = step
         trace.append(
             TraceStep(
                 "removable-arc",

@@ -4,6 +4,15 @@ Every crossing carries a +1 or -1 marker; smoothing each crossing by its
 marker turns the grid into a boundary connection plus closed loops.  The
 weighted sum over all 2^(mn) marker grids is the reference ("oracle")
 value every shortcut in this package is checked against.
+
+The sum is built by a transfer-matrix fold that visits the crossings in
+reading order, two smoothings each.  Its state is the frontier between
+visited and unvisited crossings -- n column ports plus one horizontal
+port, each holding its mate's slot index or the code of the finished
+boundary point its strand ends at -- together with the strands already
+closed between finished points.  ``bracket_table`` keeps every frontier;
+``bracket_coefficient_at`` drops those that can no longer end at its
+target.  ``bracket_table_by_enumeration`` is the literal 2^(mn) sum.
 """
 
 from __future__ import annotations
@@ -11,8 +20,8 @@ from __future__ import annotations
 import os
 from typing import NamedTuple
 
-from .laurent import Laurent, ONE, ZERO, add, monomial, mul
-from .states import Connection, glue_vertical, identity_state, new_connection
+from .laurent import Laurent, ONE, ZERO, add, monomial, monomial_shift, mul
+from .states import Connection, Point, identity_state, new_connection
 
 MarkerGrid = tuple[tuple[int, ...], ...]
 
@@ -39,7 +48,15 @@ class Resolution(NamedTuple):
 def _budget(budget_bits) -> int:
     if budget_bits is not None:
         return budget_bits
-    return int(os.environ.get("ORACLE_BUDGET_BITS", DEFAULT_BUDGET_BITS))
+    raw = os.environ.get("ORACLE_BUDGET_BITS")
+    if raw is None:
+        return DEFAULT_BUDGET_BITS
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(
+            f"ORACLE_BUDGET_BITS must be an integer, got {raw!r}"
+        ) from None
 
 
 def _check_budget(m: int, n: int, budget_bits) -> None:
@@ -115,25 +132,114 @@ def smooth(grid: MarkerGrid) -> Resolution:
     return Resolution(new_connection(m, n, n, pairs), loops)
 
 
-def _row_resolutions(n: int) -> list[tuple[Connection, Laurent]]:
-    """All 2^n smoothings of a single row with their marker weights."""
-    out = []
-    for bits in range(1 << n):
-        row = tuple(1 if bits >> k & 1 else -1 for k in range(n))
-        res = smooth((row,))
-        if res.loops:
-            raise AssertionError("single row produced a loop")
-        out.append((res.state, monomial(sum(row))))
-    return out
+def _add_product(table: dict, key, w: Laurent, factor: Laurent) -> None:
+    """table[key] += w * factor, in place, dropping zero coefficients."""
+    acc = table.get(key)
+    if acc is None:
+        acc = table[key] = {}
+    for e1, c1 in w.items():
+        for e2, c2 in factor.items():
+            e = e1 + e2
+            s = acc.get(e, 0) + c1 * c2
+            if s:
+                acc[e] = s
+            else:
+                del acc[e]
+
+
+def _points(m: int, n: int) -> list[Point]:
+    """Finished boundary points in fold order; ``points[k]`` has code -1 - k."""
+    points: list[Point] = [("T", j) for j in range(1, n + 1)]
+    for i in range(1, m + 1):
+        points += [("L", i), ("R", i)]
+    return points
+
+
+def _fold(m: int, n: int, allowed=None) -> dict:
+    """Sum the marker grids of the m x n grid one crossing at a time.
+
+    The frontier after each cell has n + 1 slots: slot j is the open
+    vertical port of column j, slot n the horizontal port of the current
+    row.  A slot holds the index of its mate slot when its strand ends on
+    the frontier, or the negative code ``-1 - k`` of the finished boundary
+    point ``_points(m, n)[k]`` its strand ends at.  Strands with both ends on
+    finished points are frozen: a sorted tuple of (low, high) code pairs.
+    The key (slots, frozen) carries the summed weight of all marker
+    choices so far that lead to it.
+
+    Each cell takes two branches: north joins east and south joins west
+    (weight A under ``POSITIVE_JOINS_EAST``), or north joins west and
+    south joins east (weight A^-1), which closes a loop when north and west
+    are mates.  Opening row i puts L_i in slot n; closing it ends slot n's
+    strand at R_i.  With ``allowed`` given, a branch that would freeze a
+    pair outside it is dropped.
+
+    OUTPUT: {(columns, frozen): weight} after the last row, where
+    ``columns`` holds the n column slots that end at B_1..B_n.
+    """
+    e = 1 if POSITIVE_JOINS_EAST else -1
+    ne, nw, nw_loop = {e: 1}, {-e: 1}, monomial_shift(LOOP_WEIGHT, -e)
+    code = {p: -1 - k for k, p in enumerate(_points(m, n))}
+    h = n
+    start = tuple(code[("T", j)] for j in range(1, n + 1)) + (code[("L", 1)],)
+    table: dict = {(start, ()): dict(ONE)}
+    for i in range(1, m + 1):
+        for c in range(n):
+            nxt: dict = {}
+            for (slots, frozen), w in table.items():
+                vn, vw = slots[c], slots[h]
+                if vn == h:  # north and west are mates
+                    _add_product(nxt, (slots, frozen), w, ne)
+                    _add_product(nxt, (slots, frozen), w, nw_loop)
+                    continue
+                s = list(slots)
+                s[c], s[h] = vw, vn
+                if vn >= 0:
+                    s[vn] = h
+                if vw >= 0:
+                    s[vw] = c
+                _add_product(nxt, (tuple(s), frozen), w, ne)
+                s = list(slots)
+                s[c], s[h] = h, c
+                if vn >= 0:
+                    s[vn] = vw
+                    if vw >= 0:
+                        s[vw] = vn
+                elif vw >= 0:
+                    s[vw] = vn
+                else:
+                    pair = (vn, vw) if vn < vw else (vw, vn)
+                    if allowed is not None and pair not in allowed:
+                        continue
+                    frozen = tuple(sorted(frozen + (pair,)))
+                _add_product(nxt, (tuple(s), frozen), w, nw)
+            table = nxt
+        right = code[("R", i)]  # the lowest code so far
+        opened = (code[("L", i + 1)],) if i < m else ()
+        nxt = {}
+        for (slots, frozen), w in table.items():
+            v = slots[h]
+            cols = list(slots[:h])
+            if v >= 0:
+                cols[v] = right
+            else:
+                pair = (right, v)
+                if allowed is not None and pair not in allowed:
+                    continue
+                frozen = tuple(sorted(frozen + (pair,)))
+            _add_product(nxt, (tuple(cols) + opened, frozen), w, ONE)
+        table = nxt
+    return {k: w for k, w in table.items() if w}
 
 
 def bracket_table(m: int, n: int, budget_bits=None) -> dict[Connection, Laurent]:
     """Bracket coefficient of every Catalan state of the m x n grid.
 
-    Folds the grid one row at a time: partial connections accumulate their
-    total weight, and loops closed while stacking a row contribute the loop
-    weight.  This regroups the plain sum over all marker grids term by
-    term, so it agrees exactly with enumeration.
+    Folds the grid one crossing at a time over int-encoded frontiers (see
+    ``_fold``): partial matchings accumulate their total weight, and loops
+    closed at a crossing contribute the loop weight.  This regroups the
+    plain sum over all marker grids term by term, so it agrees exactly
+    with enumeration.  Each final frontier becomes one Connection.
     """
     _check_budget(m, n, budget_bits)
     if n == 0:
@@ -143,27 +249,16 @@ def bracket_table(m: int, n: int, budget_bits=None) -> dict[Connection, Laurent]
         return {flat: dict(ONE)}
     if m == 0:
         return {identity_state(n): dict(ONE)}
-    rows = _row_resolutions(n)
+    points = _points(m, n)
     table: dict[Connection, Laurent] = {}
-    for state, w in rows:
-        table[state] = add(table.get(state, ZERO), w)
-    for _ in range(m - 1):
-        nxt: dict[Connection, Laurent] = {}
-        for partial, coef in table.items():
-            for state, w in rows:
-                glued, loops = glue_vertical(partial, state)
-                contrib = mul(coef, w)
-                for _k in range(loops):
-                    contrib = mul(contrib, LOOP_WEIGHT)
-                if not contrib:
-                    continue
-                cur = nxt.get(glued)
-                total = add(cur, contrib) if cur is not None else contrib
-                if total:
-                    nxt[glued] = total
-                else:
-                    nxt.pop(glued, None)
-        table = nxt
+    for (cols, frozen), w in _fold(m, n).items():
+        pairs = [(points[-1 - a], points[-1 - b]) for a, b in frozen]
+        for j, v in enumerate(cols):
+            if v < 0:
+                pairs.append((points[-1 - v], ("B", j + 1)))
+            elif v > j:
+                pairs.append((("B", j + 1), ("B", v + 1)))
+        table[new_connection(m, n, n, pairs)] = w
     return table
 
 
@@ -209,14 +304,14 @@ def oracle_coefficient(C: Connection, budget_bits=None) -> Laurent:
 def bracket_coefficient_at(C: Connection) -> Laurent:
     """Bracket coefficient of one Catalan state via a target-pruned fold.
 
-    Same weighted sum over marker grids as ``oracle_coefficient``, regrouped
-    row by row, but partial connections that can no longer close up to ``C``
-    are dropped as soon as that is certain: once both ends of a strand sit on
-    already-placed boundary points (top or a finished side row), the pair is
-    frozen, so it must already be a pair of ``C``.  Strands still touching
-    the open interface stay, whatever ``C`` says.  This keeps the working
-    table small for a single wide target where the full table of its grid
-    would be far beyond any budget.
+    Same cell-by-cell fold as ``bracket_table`` (see ``_fold``), but a
+    branch is dropped as soon as it freezes a pair -- both ends on finished
+    boundary points (top, a left point of an opened row, a right point of a
+    closed row) -- that is not a pair of ``C``.  Strands still touching the
+    frontier stay, whatever ``C`` says.  This keeps the working table small
+    for a single wide target where the full table of its grid would be far
+    beyond any budget.  ``C`` itself is encoded as a final frontier key, so
+    the answer is one lookup.
 
     The grid is folded along its shorter side; a quarter turn of the diagram
     inverts ``A``, which is undone on the way out.
@@ -232,36 +327,16 @@ def bracket_coefficient_at(C: Connection) -> Laurent:
     m, n = C.m, C.n
     if m == 0 or n == 0:
         return dict(bracket_table(m, n).get(C, ZERO))
-    frozen_ok = {frozenset(pair) for pair in C.pairs}
-
-    def consistent(partial: Connection) -> bool:
-        for p, q in partial.pairs:
-            if p[0] != "B" and q[0] != "B" and frozenset((p, q)) not in frozen_ok:
-                return False
-        return True
-
-    rows = _row_resolutions(n)
-    table: dict[Connection, Laurent] = {}
-    for state, w in rows:
-        if consistent(state):
-            table[state] = add(table.get(state, ZERO), w)
-    for _ in range(m - 1):
-        nxt: dict[Connection, Laurent] = {}
-        for partial, coef in table.items():
-            for state, w in rows:
-                glued, loops = glue_vertical(partial, state)
-                if not consistent(glued):
-                    continue
-                contrib = mul(coef, w)
-                for _k in range(loops):
-                    contrib = mul(contrib, LOOP_WEIGHT)
-                if not contrib:
-                    continue
-                cur = nxt.get(glued)
-                total = add(cur, contrib) if cur is not None else contrib
-                if total:
-                    nxt[glued] = total
-                else:
-                    nxt.pop(glued, None)
-        table = nxt
-    return dict(table.get(C, ZERO))
+    code = {p: -1 - k for k, p in enumerate(_points(m, n))}
+    cols = [0] * n
+    frozen = []
+    for p, q in C.pairs:
+        if q[0] == "B" and p[0] == "B":
+            cols[p[1] - 1], cols[q[1] - 1] = q[1] - 1, p[1] - 1
+        elif q[0] == "B":
+            cols[q[1] - 1] = code[p]
+        else:
+            a, b = code[p], code[q]
+            frozen.append((a, b) if a < b else (b, a))
+    folded = _fold(m, n, allowed=set(frozen))
+    return dict(folded.get((tuple(cols), tuple(sorted(frozen))), ZERO))

@@ -306,20 +306,22 @@ def is_proper_arc(C: Connection, c: Pair) -> bool:
 # -- symmetries ---------------------------------------------------------
 
 
+def _half_turn_point(C: Connection, p: Point) -> Point:
+    """Image of a boundary point of C under the half turn."""
+    side, i = p
+    if side == "T":
+        return ("B", C.n_t + 1 - i)
+    if side == "B":
+        return ("T", C.n_b + 1 - i)
+    if side == "L":
+        return ("R", C.m + 1 - i)
+    return ("L", C.m + 1 - i)
+
+
 def rotate_pi(C: Connection) -> Connection:
     """Rotate the rectangle by a half turn (an involution)."""
-
-    def f(p: Point) -> Point:
-        side, i = p
-        if side == "T":
-            return ("B", C.n_t + 1 - i)
-        if side == "B":
-            return ("T", C.n_b + 1 - i)
-        if side == "L":
-            return ("R", C.m + 1 - i)
-        return ("L", C.m + 1 - i)
-
-    return new_connection(C.m, C.n_b, C.n_t, [(f(p), f(q)) for p, q in C.pairs])
+    pairs = [(_half_turn_point(C, p), _half_turn_point(C, q)) for p, q in C.pairs]
+    return new_connection(C.m, C.n_b, C.n_t, pairs)
 
 
 def reflect(C: Connection) -> Connection:
@@ -518,7 +520,7 @@ def remove_arc(C: Connection, c) -> Connection:
         raise ValueError("arc is not proper")
     if "B" in (c[0][0], c[1][0]):
         flip = rotate_pi(C)
-        fc = _find_pair(flip, (_rot_pi_point(C, c[0]), _rot_pi_point(C, c[1])))
+        fc = _find_pair(flip, (_half_turn_point(C, c[0]), _half_turn_point(C, c[1])))
         return rotate_pi(remove_arc(flip, fc))
     D = tau_shift(C, C.m)
 
@@ -545,17 +547,6 @@ def remove_arc(C: Connection, c) -> Connection:
     ]
     D2 = new_connection(0, D.n_t - 2, D.n_b, kept)
     return tau_shift(D2, -(C.m - 1)) if C.m > 1 else D2
-
-
-def _rot_pi_point(C: Connection, p: Point) -> Point:
-    side, i = p
-    if side == "T":
-        return ("B", C.n_t + 1 - i)
-    if side == "B":
-        return ("T", C.n_b + 1 - i)
-    if side == "L":
-        return ("R", C.m + 1 - i)
-    return ("L", C.m + 1 - i)
 
 
 # -- extended labels and removability -------------------------------------

@@ -49,7 +49,8 @@ def test_reduce_removable():
     C = S.parse_state("cat(2,2): T1-T2, L1-B2, L2-B1, R1-R2")
     step = E.reduce_removable(C)
     assert step is not None
-    factor, reduced = step
+    factor, reduced, arc = step
+    assert arc == S.find_removable_arcs(C)[0]
     assert L.is_monomial(factor)
     assert (reduced.m, reduced.n) == (1, 2)
     assert K.oracle_coefficient(C) == L.mul(

@@ -55,10 +55,18 @@ def test_every_grid_lands_on_a_catalan_state():
 
 
 def test_bracket_table_matches_plain_enumeration():
-    for m, n in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 2)]:
+    for m, n in [
+        (1, 1), (1, 2), (2, 2), (2, 3), (3, 2),
+        (1, 3), (3, 1), (2, 4), (4, 2), (3, 3),
+    ]:
         fold = K.bracket_table(m, n)
         plain = K.bracket_table_by_enumeration(m, n)
         assert fold == plain, (m, n)
+
+
+def test_bracket_table_follows_the_smoothing_flag(monkeypatch):
+    monkeypatch.setattr(K, "POSITIVE_JOINS_EAST", False)
+    assert K.bracket_table(2, 2) == K.bracket_table_by_enumeration(2, 2)
 
 
 def test_bracket_table_support_is_the_realizable_set():
@@ -81,12 +89,20 @@ def test_bracket_table_total_weight():
     assert total_at_one == sum(sum(v.values()) for v in by_enum.values())
 
 
-def test_oracle_coefficient_and_cache():
+def test_oracle_coefficient_and_cache(monkeypatch):
+    monkeypatch.setattr(K, "_TABLE_CACHE", {})
+    built = []
+    fold = K.bracket_table
+
+    def counting(m, n, budget_bits=None):
+        built.append((m, n))
+        return fold(m, n, budget_bits)
+
+    monkeypatch.setattr(K, "bracket_table", counting)
     C = S.parse_state("cat(2,2): T1-L1, T2-R1, L2-B1, R2-B2")
     assert L.render(K.oracle_coefficient(C)) == "A^-2 + A^2"
-    t1 = K.bracket_table(2, 2)
-    t2 = K.bracket_table(2, 2)
-    assert t1 is not t2 or t1 == t2  # table contents stable
+    assert L.render(K.oracle_coefficient(C)) == "A^-2 + A^2"
+    assert built == [(2, 2)]  # the second call reads the cached table
     # unrealizable states get the zero polynomial
     X = S.parse_state("cat(1,2): T1-T2, L1-R1, B1-B2")
     assert K.oracle_coefficient(X) == L.ZERO
@@ -112,7 +128,18 @@ def test_budget_env_override(monkeypatch):
     assert K.oracle_coefficient(C, budget_bits=4) == {-2: 1, 2: 1}
 
 
-@pytest.mark.parametrize("m, n", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2)])
+def test_budget_env_must_be_an_integer(monkeypatch):
+    monkeypatch.setenv("ORACLE_BUDGET_BITS", "abc")
+    C = S.parse_state("cat(2,2): T1-L1, T2-R1, L2-B1, R2-B2")
+    with pytest.raises(
+        ValueError, match="ORACLE_BUDGET_BITS must be an integer, got 'abc'"
+    ):
+        K.oracle_coefficient(C)
+
+
+@pytest.mark.parametrize(
+    "m, n", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (3, 4), (4, 3)]
+)
 def test_targeted_fold_matches_oracle(m, n):
     for C in S.enumerate_catalan(m, n):
         assert K.bracket_coefficient_at(C) == K.oracle_coefficient(C), (
