@@ -7,8 +7,8 @@ sweep.  State and tree arguments are single strings in the grammars of
 ``states.parse_state`` / ``trees.parse_tree``; passing ``-`` reads one
 input per line from stdin.
 
-Exit codes: 0 success, 1 invalid input, 2 oracle budget exhausted,
-3 self-test failure.
+Exit codes: 0 success, 1 invalid input (including input nested too deeply
+to process), 2 oracle budget exhausted, 3 self-test failure.
 """
 
 from __future__ import annotations
@@ -41,15 +41,6 @@ def _cmd_coeff(args) -> int:
         if args.method == "oracle":
             value = kauffman.oracle_coefficient(C, args.budget_bits)
             trace = [engine.TraceStep("oracle", f"m={C.m} n={C.n}", value)]
-        elif args.method == "tree":
-            D, turned = C, False
-            if states.classify(D).bottom_returns:
-                D, turned = states.rotate_pi(C), True
-            if states.classify(D).bottom_returns:
-                raise ValueError("tree method needs a return-free top or bottom")
-            value = engine.coeff_no_bottom_returns(D)
-            detail = f"m={D.m} n={D.n}" + (" (half turn)" if turned else "")
-            trace = [engine.TraceStep("tree-formula", detail, value)]
         else:
             value, trace = engine.coefficient(C, args.budget_bits)
         print(laurent.render(value))
@@ -206,7 +197,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("coeff", help="coefficient of a Catalan state")
     p.add_argument("state")
-    p.add_argument("--method", choices=("auto", "tree", "oracle"), default="auto")
+    p.add_argument("--method", choices=("auto", "oracle"), default="auto")
     p.add_argument("--trace", action="store_true", help="print reduction steps")
     p.add_argument("--budget-bits", type=int, default=None)
     p.set_defaults(func=_cmd_coeff)
@@ -269,6 +260,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: input nests too deeply", file=sys.stderr)
         return 1
 
 

@@ -34,6 +34,7 @@ from .states import (
     Connection,
     Pair,
     _adjacent_descriptions,
+    _clockwise,
     _point_text,
     boundary_points,
     classify,
@@ -108,57 +109,44 @@ def iter_vertical_factorizations(C: Connection) -> Iterator[LocalFamily]:
     entirely, and the side-hugging arcs inside and outside it occupy
     disjoint level windows, so the family can slide to the top or bottom
     edge independently of the rest.
+
+    Intervals grow clockwise one point at a time from each start; one is
+    closed (matched among itself) iff every partner offset seen so far is
+    less than its length.  Yield order is by start, then length.
     """
     m, n = C.m, C.n
-    pts = boundary_points(m, n, n)
+    pts, mate = _clockwise(C)
     N = len(pts)
-    total_arcs = len(C.pairs)
-    outside_js: dict[Pair, set[int]] = {
-        arc: _adjacent_descriptions(arc, m, n) for arc in C.pairs
-    }
+    rank = {}
+    for r, (p, q) in enumerate(C.pairs):
+        rank[p] = rank[q] = r
+    levels = [_adjacent_descriptions(arc, m, n) for arc in C.pairs]
     for start in range(N):
-        for length in range(4, N, 2):
-            interval = [pts[(start + k) % N] for k in range(length)]
-            iset = set(interval)
-            lam_arcs = []
-            closed = True
-            for arc in C.pairs:
-                inside = (arc[0] in iset) + (arc[1] in iset)
-                if inside == 1:
-                    closed = False
-                    break
-                if inside == 2:
-                    lam_arcs.append(arc)
-            if not closed or 2 * len(lam_arcs) != length:
-                continue
-            if not 1 < len(lam_arcs) < total_arcs:
-                continue
-            sides = {p[0] for p in interval}
+        reach = 0
+        sides = set()
+        for length in range(1, N):
+            k = (start + length - 1) % N
+            reach = max(reach, (mate[k] - start) % N)
+            sides.add(pts[k][0])
             if "L" in sides and "R" in sides:
+                break
+            if length < 4 or reach >= length:
                 continue
-            lam_js = sorted(
-                j for arc in lam_arcs for j in outside_js[arc]
-            )
+            inside = sorted({rank[pts[(start + o) % N]] for o in range(length)})
+            lam_js = sorted(j for r in inside for j in levels[r])
             if lam_js:
-                if lam_js[0] < 0 or lam_js[-1] > m:
+                lo, hi = lam_js[0], lam_js[-1]
+                if lo < 0 or hi > m:
                     continue
-                lam_set = set(lam_arcs)
                 foreign = (
                     j
-                    for arc in C.pairs
-                    if arc not in lam_set
-                    for j in outside_js[arc]
+                    for r, js in enumerate(levels)
+                    if r not in inside
+                    for j in js
                 )
-                if any(lam_js[0] < j < lam_js[-1] for j in foreign):
+                if any(lo < j < hi for j in foreign):
                     continue
-            yield LocalFamily(start, length, tuple(lam_arcs))
-
-
-def find_vertical_factorization(C: Connection) -> Optional[LocalFamily]:
-    """First local family in (interval start, length) order, if any."""
-    for fam in iter_vertical_factorizations(C):
-        return fam
-    return None
+            yield LocalFamily(start, length, tuple(C.pairs[r] for r in inside))
 
 
 def vertical_factor_parts(

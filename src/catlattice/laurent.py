@@ -15,15 +15,6 @@ ZERO: Laurent = {}
 ONE: Laurent = {0: 1}
 
 
-def laurent(pairs) -> Laurent:
-    """Build a polynomial from (exponent, coefficient) pairs, dropping zeros."""
-    out: Laurent = {}
-    for e, c in dict(pairs).items():
-        if c:
-            out[e] = c
-    return out
-
-
 def monomial(e: int, c: int = 1) -> Laurent:
     return {e: c} if c else {}
 

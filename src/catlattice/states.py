@@ -13,6 +13,15 @@ Text form (Catalan states only)::
 Points are written T<i>, B<i>, L<i>, R<i>; pairs are listed in reading
 order (top, left, right, then bottom points, index ascending), with the
 earlier endpoint of each pair written first.
+
+Boundary questions -- cut lines, removable arcs, local families -- are
+asked of one clockwise view: the points in :func:`boundary_points` order
+(T1..Tn_t, R1..Rm, Bn_b..B1, Lm..L1, positions 0..N-1) and, for each
+position, the position of its partner.  A cut line is a stretch [a, b) of
+that order, and the arcs it crosses are the arcs with exactly one end in
+the stretch.  Horizontal cut i (below L_i and R_i) is the stretch
+[n_t+i, n_t+2m+n_b-i) -- everything under the line -- and vertical cut j
+(right of T_j and B_j) is [j, 2n+m-j).
 """
 
 from __future__ import annotations
@@ -226,6 +235,35 @@ def coordinate(p: Point, m: int, n: int) -> int:
     raise ValueError("bottom point has no coordinate")
 
 
+def _clockwise(C: Connection) -> tuple[list[Point], list[int]]:
+    """The clockwise view of C: its points in :func:`boundary_points` order
+    and ``mate[k]``, the position of the partner of the point at k."""
+    pos = _positions(C.m, C.n_t, C.n_b)
+    mate = [0] * len(pos)
+    for p, q in C.pairs:
+        mate[pos[p]], mate[pos[q]] = pos[q], pos[p]
+    return list(pos), mate
+
+
+def _crossing(mate: list[int], a: int, b: int) -> int:
+    """Number of arcs with exactly one end in the positions [a, b)."""
+    return sum(1 for k in range(a, b) if not a <= mate[k] < b)
+
+
+def _cut(C: Connection, orientation: str, i: int) -> tuple[int, int]:
+    """The stretch [a, b) of clockwise positions on the far side of a cut."""
+    if orientation == "horizontal":
+        if not 0 <= i <= C.m:
+            raise ValueError("line index out of range")
+        return C.n_t + i, C.n_t + 2 * C.m + C.n_b - i
+    if orientation == "vertical":
+        n = C.n  # vertical cuts need a Catalan state
+        if not 0 <= i <= n:
+            raise ValueError("line index out of range")
+        return i, 2 * n + C.m - i
+    raise ValueError(f"unknown orientation {orientation!r}")
+
+
 def line_intersections(C: Connection, orientation: str, i: int) -> int:
     """Number of arcs crossing a horizontal or vertical cut line.
 
@@ -233,22 +271,8 @@ def line_intersections(C: Connection, orientation: str, i: int) -> int:
     i points of each vertical side; vertical line j (0 <= j <= n) separates
     the left edge plus the first j points of top and bottom.
     """
-    if orientation == "horizontal":
-        if not 0 <= i <= C.m:
-            raise ValueError("line index out of range")
-        region = {p for p in boundary_points(C.m, C.n_t, C.n_b) if p[0] == "T"}
-        region |= {("L", j) for j in range(1, i + 1)}
-        region |= {("R", j) for j in range(1, i + 1)}
-    elif orientation == "vertical":
-        n = C.n  # vertical cuts need a Catalan state
-        if not 0 <= i <= n:
-            raise ValueError("line index out of range")
-        region = {("L", j) for j in range(1, C.m + 1)}
-        region |= {("T", k) for k in range(1, i + 1)}
-        region |= {("B", k) for k in range(1, i + 1)}
-    else:
-        raise ValueError(f"unknown orientation {orientation!r}")
-    return sum((p in region) != (q in region) for p, q in C.pairs)
+    a, b = _cut(C, orientation, i)
+    return _crossing(_clockwise(C)[1], a, b)
 
 
 def is_realizable(C: Connection) -> bool:
@@ -258,13 +282,10 @@ def is_realizable(C: Connection) -> bool:
     no interior vertical line more than m times.
     """
     n = C.n
-    for i in range(1, C.m):
-        if line_intersections(C, "horizontal", i) > n:
-            return False
-    for j in range(1, n):
-        if line_intersections(C, "vertical", j) > C.m:
-            return False
-    return True
+    mate = _clockwise(C)[1]
+    if any(_crossing(mate, *_cut(C, "horizontal", i)) > n for i in range(1, C.m)):
+        return False
+    return all(_crossing(mate, *_cut(C, "vertical", j)) <= C.m for j in range(1, n))
 
 
 class StateClass(NamedTuple):
@@ -618,28 +639,37 @@ def _adjacent_descriptions(c: Pair, m: int, n: int) -> set[int]:
     return out
 
 
-def _two_sides(C: Connection, c: Pair) -> tuple[set[Point], set[Point]]:
-    """Boundary points on each side of c: (touching top, touching bottom)."""
-    n = C.n
-    tokens: list = [("T", i) for i in range(1, n + 1)]
-    tokens += [("R", j) for j in range(1, C.m + 1)]
-    tokens.append("botmid")
-    tokens += [("B", i) for i in range(n, 0, -1)]
-    tokens += [("L", j) for j in range(C.m, 0, -1)]
-    tokens.append("topmid")
-    pos = {tk: k for k, tk in enumerate(tokens)}
-    a, b = sorted((pos[c[0]], pos[c[1]]))
-    between = {tk for tk in tokens if a < pos[tk] < b}
-    outside = {tk for tk in tokens if tk not in between} - {c[0], c[1]}
-    if "B" in (c[0][0], c[1][0]):
-        A1, A2 = (between, outside) if "topmid" in between else (outside, between)
-    else:
-        A2, A1 = (between, outside) if "botmid" in between else (outside, between)
-    A1.discard("topmid")
-    A1.discard("botmid")
-    A2.discard("topmid")
-    A2.discard("botmid")
-    return A1, A2
+def _removable(C: Connection, candidates) -> list[Pair]:
+    """The removable arcs among ``candidates`` (pairs of C), in their order.
+
+    An arc c splits the other arcs into those strictly inside its clockwise
+    interval and those outside.  The inside is c's bottom side when c has a
+    bottom end or its interval covers the R_m/B_n corner, its top side
+    otherwise.  c is removable when it is proper and every side-walk level
+    on its top side is smaller (higher up) than every level on its bottom
+    side, level 0 counting as top and level m as bottom (so nothing is
+    removable at m=0).
+    """
+    m, n = C.m, C.n
+    pos = _positions(m, n, n)
+    levels = [(pos[arc[0]], _adjacent_descriptions(arc, m, n)) for arc in C.pairs]
+    out = []
+    for c in candidates:
+        if not is_proper_arc(C, c):
+            continue
+        a, b = sorted((pos[c[0]], pos[c[1]]))
+        inside_is_bottom = "B" in (c[0][0], c[1][0]) or a < n + m <= b
+        top, bottom = 0, m
+        for k, js in levels:
+            if not js or k in (a, b):
+                continue
+            if (a < k < b) == inside_is_bottom:
+                bottom = min(bottom, *js)
+            else:
+                top = max(top, *js)
+        if top < bottom:
+            out.append(c)
+    return out
 
 
 def is_removable(C: Connection, c) -> bool:
@@ -650,26 +680,12 @@ def is_removable(C: Connection, c) -> bool:
     some level j0 sits on c's top side, everything below on its bottom
     side.
     """
-    if C.m == 0:
-        return False
-    c = _find_pair(C, c)
-    if not is_proper_arc(C, c):
-        return False
-    A1, A2 = _two_sides(C, c)
-    m, n = C.m, C.n
-    top_side = [0]
-    bottom_side = [m]
-    for arc in C.pairs:
-        if arc == c:
-            continue
-        bucket = top_side if arc[0] in A1 else bottom_side
-        bucket.extend(_adjacent_descriptions(arc, m, n))
-    return max(top_side) <= min(bottom_side) - 1
+    return C.m > 0 and bool(_removable(C, [_find_pair(C, c)]))
 
 
 def find_removable_arcs(C: Connection) -> list[Pair]:
     """All removable arcs, in canonical pair order."""
-    return [arc for arc in C.pairs if is_removable(C, arc)]
+    return _removable(C, C.pairs)
 
 
 # -- saturated horizontal lines -------------------------------------------
@@ -687,21 +703,13 @@ def is_vertically_decomposable(C: Connection) -> Optional[int]:
 def split_at(C: Connection, i: int) -> tuple[Connection, Connection]:
     """Cut along a saturated horizontal line into Cat(i,n) * Cat(m-i,n)."""
     n = C.n
-    if not 0 <= i <= C.m:
-        raise ValueError("line index out of range")
     if line_intersections(C, "horizontal", i) != n:
         raise ValueError("line is not saturating")
-    upper = {("T", k) for k in range(1, n + 1)}
-    upper |= {("L", j) for j in range(1, i + 1)}
-    upper |= {("R", j) for j in range(1, i + 1)}
+    a, b = _cut(C, "horizontal", i)
+    pos = _positions(C.m, n, n)
 
-    def walk_pos(p: Point) -> int:
-        side, k = p
-        if side == "L":
-            return i - k
-        if side == "T":
-            return i + k
-        return i + n + k  # R
+    def upper(p: Point) -> bool:
+        return not a <= pos[p] < b
 
     def lower_point(p: Point) -> Point:
         side, k = p
@@ -713,16 +721,17 @@ def split_at(C: Connection, i: int) -> tuple[Connection, Connection]:
     upper_pairs = []
     lower_pairs = []
     for p, q in C.pairs:
-        inside = (p in upper) + (q in upper)
+        inside = upper(p) + upper(q)
         if inside == 2:
             upper_pairs.append((p, q))
         elif inside == 0:
             lower_pairs.append((lower_point(p), lower_point(q)))
         else:
-            top_end, bot_end = (p, q) if p in upper else (q, p)
-            crossing.append((walk_pos(top_end), top_end, bot_end))
-    crossing.sort(key=lambda rec: rec[0])
-    for j, (_, top_end, bot_end) in enumerate(crossing, start=1):
+            top_end, bot_end = (p, q) if upper(p) else (q, p)
+            crossing.append((top_end, bot_end))
+    # the upper ends read clockwise from L_i round to R_i are B1..Bn's order
+    crossing.sort(key=lambda ends: (pos[ends[0]] - b) % len(pos))
+    for j, (top_end, bot_end) in enumerate(crossing, start=1):
         upper_pairs.append((top_end, ("B", j)))
         lower_pairs.append((("T", j), lower_point(bot_end)))
     return (

@@ -40,16 +40,16 @@ def test_coeff_methods_agree():
     state = "cat(2,2): T1-L1, T2-R1, L2-B1, R2-B2"
     auto = run("coeff", "--method=auto", state)
     oracle = run("coeff", "--method=oracle", state)
-    tree = run("coeff", "--method=tree", state)
-    assert auto.returncode == oracle.returncode == tree.returncode == 0
-    assert auto.stdout == oracle.stdout == tree.stdout == "A^-2 + A^2\n"
+    assert auto.returncode == oracle.returncode == 0
+    assert auto.stdout == oracle.stdout == "A^-2 + A^2\n"
 
 
-def test_coeff_tree_method_needs_a_clean_edge():
-    both_returns = "cat(2,2): T1-T2, L1-R1, L2-R2, B1-B2"
-    r = run("coeff", "--method=tree", both_returns)
+def test_coeff_tree_method_is_a_usage_error():
+    r = run("coeff", "--method=tree", "cat(2,2): T1-L1, T2-R1, L2-B1, R2-B2")
     assert r.returncode == 1
-    assert "tree method needs a return-free top or bottom" in r.stderr
+    assert r.stdout == ""
+    assert "usage" in r.stderr.lower()
+    assert "invalid choice: 'tree'" in r.stderr
 
 
 def test_oracle_command_and_budget_exit():
@@ -136,6 +136,15 @@ def test_plucking_command():
     bad = run("plucking", "(()")
     assert bad.returncode == 1
     assert bad.stderr.startswith("error: unbalanced")
+
+
+@pytest.mark.parametrize("depth", [500, 3000])
+def test_deep_tree_exits_1_without_a_traceback(depth):
+    deep = "(" * depth + ")" * depth
+    for r in (run("plucking", deep), run("plucking", "-", stdin=deep + "\n")):
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr == "error: input nests too deeply\n"
 
 
 def test_beta_and_maxseq_commands():
