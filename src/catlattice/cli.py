@@ -92,8 +92,7 @@ def _cmd_reductions(args) -> int:
 def _cmd_plucking(args) -> int:
     for text in _inputs(args.tree):
         t = trees.parse_tree(text)
-        Q = trees.plucking_factored(t) if args.factored else trees.plucking(t)
-        print(laurent.render(Q, var="q"))
+        print(laurent.render(trees.plucking(t), var="q"))
     return 0
 
 
@@ -140,7 +139,6 @@ def _selftest_checks(max_mn: int):
         want = laurent.mul(want, laurent.power({0: 1, 1: 1}, k + 1))
         want = laurent.mul(want, laurent.power({0: 1, 1: 1, 2: 1}, k))
         ok = ok and trees.plucking(t) == want
-        ok = ok and trees.plucking_factored(t) == want
     yield "fan tree plucking product, k = 1..4", ok
 
     ok = True
@@ -225,7 +223,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("plucking", help="plucking polynomial of a plane tree")
     p.add_argument("tree")
-    p.add_argument("--factored", action="store_true", help="factor via splits")
     p.set_defaults(func=_cmd_plucking)
 
     p = sub.add_parser("beta", help="maximal total weight of a realizing grid")

@@ -17,8 +17,8 @@ def fan_tree(k: int) -> Node:
     """Root with 2k+2 leaves whose delays climb toward both ends.
 
     The leaf delays read 2k, 2k-2, ..., 2, 1, 1, 2, ..., 2k-2, 2k.  The
-    plucking polynomial is q^(k^2) * (1+q)^(k+1) * (1+q+q^2)^k, and the
-    factored evaluation reaches the same product through splitting
+    plucking polynomial is q^(k^2) * (1+q)^(k+1) * (1+q+q^2)^k, which
+    :func:`~catlattice.trees.plucking` reaches by factoring at splitting
     subtrees.
     """
     if k < 1:

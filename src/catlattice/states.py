@@ -21,7 +21,8 @@ position, the position of its partner.  A cut line is a stretch [a, b) of
 that order, and the arcs it crosses are the arcs with exactly one end in
 the stretch.  Horizontal cut i (below L_i and R_i) is the stretch
 [n_t+i, n_t+2m+n_b-i) -- everything under the line -- and vertical cut j
-(right of T_j and B_j) is [j, 2n+m-j).
+(right of T_j and B_j) is [j, 2n+m-j).  Arc removal reads the same view
+(:func:`remove_arc`).
 """
 
 from __future__ import annotations
@@ -529,45 +530,30 @@ def _find_pair(C: Connection, c) -> Pair:
 def remove_arc(C: Connection, c) -> Connection:
     """Delete a proper arc, absorbing one row: Cat(m,n) -> Cat(m-1,n).
 
-    An arc with no bottom end is erased on the fully unfolded word and the
-    word is folded back one row short; an arc with a bottom end is handled
-    through the half-turn symmetry.
+    Read the clockwise view from the corner of the edge that stays fixed
+    -- L_m (the bottom edge stays) for an arc with no bottom end, R_1 (the
+    top edge stays) for one with a bottom end -- drop the arc's two points
+    and lay the rest onto Cat(m-1,n) from its L_(m-1) or R_1.
     """
-    n = C.n
-    if C.m == 0:
+    n, m = C.n, C.m
+    if m == 0:
         raise ValueError("no rows left to absorb a removal")
     c = _find_pair(C, c)
     if not is_proper_arc(C, c):
         raise ValueError("arc is not proper")
+    points, mate = _clockwise(C)
+    N = len(points)
+    a = points.index(c[0])
     if "B" in (c[0][0], c[1][0]):
-        flip = rotate_pi(C)
-        fc = _find_pair(flip, (_half_turn_point(C, c[0]), _half_turn_point(C, c[1])))
-        return rotate_pi(remove_arc(flip, fc))
-    D = tau_shift(C, C.m)
-
-    def unfolded(p: Point) -> int:
-        side, i = p
-        if side == "L":
-            return C.m + 1 - i
-        if side == "T":
-            return C.m + i
-        return C.m + n + i  # R
-
-    a, b = sorted((unfolded(c[0]), unfolded(c[1])))
-
-    def squeeze(p: Point) -> Point:
-        side, i = p
-        if side == "B":
-            return p
-        return ("T", i - (i > a) - (i > b))
-
-    kept = [
-        (squeeze(p), squeeze(q))
-        for p, q in D.pairs
-        if frozenset((p, q)) != frozenset((("T", a), ("T", b)))
-    ]
-    D2 = new_connection(0, D.n_t - 2, D.n_b, kept)
-    return tau_shift(D2, -(C.m - 1)) if C.m > 1 else D2
+        start, new_start = n, n
+    else:
+        start, new_start = 2 * n + m, 2 * n + m - 1
+    word = [(start + j) % N for j in range(N)]
+    word = [k for k in word if k not in (a, mate[a])]
+    target = boundary_points(m - 1, n, n)
+    image = {k: target[(new_start + j) % (N - 2)] for j, k in enumerate(word)}
+    pairs = [(image[k], image[mate[k]]) for k in word if k < mate[k]]
+    return new_connection(m - 1, n, n, pairs)
 
 
 # -- extended labels and removability -------------------------------------

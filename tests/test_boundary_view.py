@@ -1,13 +1,14 @@
 """The clockwise boundary view against the definitions it replaced.
 
-Cut-line counts, removable arcs and local families are all read off one
-clockwise view of a state (its points in ``boundary_points`` order and each
-point's partner position).  The functions below are the earlier direct
-definitions, kept literally as references: a region set per cut line, a
-token list with corner sentinels for the two sides of an arc, and a scan of
-every arc for every (start, length) boundary interval.  They are compared
-with the library on every state with m + n <= 8 and on seeded random states
-of Cat(5,6) and Cat(6,6).
+Cut-line counts, removable arcs, local families and arc removal are all
+read off one clockwise view of a state (its points in ``boundary_points``
+order and each point's partner position).  The functions below are the
+earlier direct definitions, kept literally as references: a region set per
+cut line, a token list with corner sentinels for the two sides of an arc, a
+scan of every arc for every (start, length) boundary interval, and arc
+removal through the half turn and the side-to-top shifts.  They are
+compared with the library on every state with m + n <= 8 and on seeded
+random states of Cat(5,6) and Cat(6,6).
 """
 
 import random
@@ -16,7 +17,17 @@ import pytest
 
 from catlattice import coeff as E
 from catlattice import states as S
-from catlattice.states import _adjacent_descriptions, _find_pair, boundary_points
+from catlattice.states import (
+    Point,
+    _adjacent_descriptions,
+    _find_pair,
+    _half_turn_point,
+    boundary_points,
+    is_proper_arc,
+    new_connection,
+    rotate_pi,
+    tau_shift,
+)
 
 
 # -- reference definitions ------------------------------------------------------
@@ -127,6 +138,44 @@ def ref_vertical_factorizations(C):
     return out
 
 
+def ref_remove_arc(C, c):
+    n = C.n
+    if C.m == 0:
+        raise ValueError("no rows left to absorb a removal")
+    c = _find_pair(C, c)
+    if not is_proper_arc(C, c):
+        raise ValueError("arc is not proper")
+    if "B" in (c[0][0], c[1][0]):
+        flip = rotate_pi(C)
+        fc = _find_pair(flip, (_half_turn_point(C, c[0]), _half_turn_point(C, c[1])))
+        return rotate_pi(ref_remove_arc(flip, fc))
+    D = tau_shift(C, C.m)
+
+    def unfolded(p: Point) -> int:
+        side, i = p
+        if side == "L":
+            return C.m + 1 - i
+        if side == "T":
+            return C.m + i
+        return C.m + n + i  # R
+
+    a, b = sorted((unfolded(c[0]), unfolded(c[1])))
+
+    def squeeze(p: Point) -> Point:
+        side, i = p
+        if side == "B":
+            return p
+        return ("T", i - (i > a) - (i > b))
+
+    kept = [
+        (squeeze(p), squeeze(q))
+        for p, q in D.pairs
+        if frozenset((p, q)) != frozenset((("T", a), ("T", b)))
+    ]
+    D2 = new_connection(0, D.n_t - 2, D.n_b, kept)
+    return tau_shift(D2, -(C.m - 1)) if C.m > 1 else D2
+
+
 # -- inputs -----------------------------------------------------------------------
 
 
@@ -180,18 +229,30 @@ def check_state(C, each_arc=True):
     for i in range(m + 1):
         if S.line_intersections(C, "horizontal", i) == n:
             assert S.vertical_product(*S.split_at(C, i)) == C, (S.render_state(C), i)
+    removals = 0
+    for arc in C.pairs:
+        try:
+            want = ref_remove_arc(C, arc)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=str(err)):
+                S.remove_arc(C, arc)
+            continue
+        assert S.remove_arc(C, arc) == want, (S.render_state(C), arc)
+        removals += 1
+    return removals
 
 
 def test_every_state_up_to_eight_boundary_pairs():
-    count = 0
+    count = removals = 0
     for C in small_states():
         # is_removable asks about one arc; every arc of the larger states
         # is covered through find_removable_arcs
-        check_state(C, each_arc=len(C.pairs) <= 6)
+        removals += check_state(C, each_arc=len(C.pairs) <= 6)
         count += 1
     assert count == sum((t + 1) * c for t, c in enumerate(
         [1, 2, 5, 14, 42, 132, 429, 1430], start=1
     ))
+    assert removals == 73983
 
 
 def test_random_states_at_cat_5_6_and_6_6():

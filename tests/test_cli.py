@@ -130,9 +130,13 @@ def test_reductions_lists_removable_arcs():
 
 def test_plucking_command():
     r = run("plucking", "(()())")
+    assert r.returncode == 0, r.stderr
     assert r.stdout == "1 + q\n"
     f = run("plucking", "--factored", "(()())")
-    assert f.stdout == "1 + q\n"
+    assert f.returncode == 1
+    assert f.stdout == ""
+    assert "usage" in f.stderr.lower()
+    assert "unrecognized arguments: --factored" in f.stderr
     bad = run("plucking", "(()")
     assert bad.returncode == 1
     assert bad.stderr.startswith("error: unbalanced")

@@ -1,5 +1,8 @@
 """The coefficient engine: strategy pipeline, traces, and closed forms."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from catlattice import coeff as E
@@ -184,3 +187,20 @@ def test_sample_constructors_validate():
         samples.fan_tree(0)
     with pytest.raises(ValueError, match="tower needs k >= 1"):
         samples.stacked_return_state(0)
+
+
+def test_nested_combs_match_recorded_values():
+    # Cat(2k,4k) nested combs from the benchmark, whose tree formula needs
+    # the splitting-subtree product; values recorded in bench/comb_values.json
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", bench / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    recorded = workloads.comb_values()
+    for k in range(5, 9):
+        C = S.new_connection(2 * k, 4 * k, 4 * k, workloads.nested_comb(k))
+        value, trace = E.coefficient(C)
+        assert L.render(value) == recorded[k], k
+        assert any(step.kind == "tree-formula" for step in trace), k

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from plucking_reference import plucking_by_definition
 
 from catlattice import laurent as L
 from catlattice import states as S
@@ -157,21 +158,33 @@ def test_split_product_identity():
         sp = T.find_splitting_subtree(t)
         if sp is None:
             continue
-        lhs = T.plucking(t)
+        lhs = plucking_by_definition(t)
         rhs = L.mul(
-            T.plucking(T.split_subtree(t, sp)),
-            T.plucking(T.complementary_tree(t, sp)),
+            plucking_by_definition(T.split_subtree(t, sp)),
+            plucking_by_definition(T.complementary_tree(t, sp)),
         )
         assert lhs == rhs, T.render_tree(t)
+        assert T.plucking(t) == lhs, T.render_tree(t)
         checked += 1
     assert checked > 40, "sampling found too few splittable trees"
 
 
-def test_plucking_factored_agrees():
+def test_plucking_equals_the_definition():
     rng = random.Random(29)
     for _ in range(120):
         t = rand_tree(rng, 3, [1, 2])
-        assert T.plucking_factored(t) == T.plucking(t), T.render_tree(t)
+        assert T.plucking(t) == plucking_by_definition(t), T.render_tree(t)
+
+
+def test_spider_beyond_the_recursion():
+    # 14 one-edge legs on a root: the q-multinomial [28; 2, ..., 2].  The
+    # pluck recursion alone visits every sequence of up to 14 one- and
+    # two-vertex legs; the splitting-subtree product peels one leg a step
+    spider = T.Node(tuple(T.path_tree(1) for _ in range(14)))
+    want = L.ONE
+    for i in range(1, 15):
+        want = L.mul(want, L.q_binomial(2 * i, 2))
+    assert T.plucking(spider) == want
 
 
 def test_tree_from_state():
