@@ -35,6 +35,8 @@ from .states import (
     Pair,
     _adjacent_descriptions,
     _clockwise,
+    _crossing,
+    _cut,
     _point_text,
     boundary_points,
     classify,
@@ -42,7 +44,6 @@ from .states import (
     find_removable_arcs,
     is_realizable,
     is_vertically_decomposable,
-    line_intersections,
     new_connection,
     remove_arc,
     rotate_pi,
@@ -186,10 +187,11 @@ def vertical_factor_parts(
 def vertical_decompose(C: Connection) -> list[Connection]:
     """Indecomposable blocks between consecutive saturated interior lines."""
     n = C.n
+    mate = _clockwise(C)[1]
     cuts = [
         i
         for i in range(1, C.m)
-        if line_intersections(C, "horizontal", i) == n
+        if _crossing(mate, *_cut(C, "horizontal", i)) == n
     ]
     parts = []
     rest = C

@@ -21,14 +21,22 @@ position, the position of its partner.  A cut line is a stretch [a, b) of
 that order, and the arcs it crosses are the arcs with exactly one end in
 the stretch.  Horizontal cut i (below L_i and R_i) is the stretch
 [n_t+i, n_t+2m+n_b-i) -- everything under the line -- and vertical cut j
-(right of T_j and B_j) is [j, 2n+m-j).  Arc removal reads the same view
-(:func:`remove_arc`).
+(right of T_j and B_j) is [j, 2n+m-j).
+
+Symmetries, tau-shifts and arc removal are relabellings of the same view.
+The half turn, the quarter turn and the tau-shifts keep the clockwise
+order of the points, and arc removal keeps it for the points it leaves:
+each reads the clockwise word from some position, skips the removed arc,
+if any, and lays the rest onto the boundary of a rectangle of a new shape
+(:func:`_relabel`).  The reflection is the one map that reverses the
+order, so it keeps its own point map.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional
 
 Point = tuple[str, int]
@@ -122,9 +130,11 @@ def new_connection(m: int, n_t: int, n_b: int, pairs) -> Connection:
         pairs: iterable of 2-tuples of points.
 
     Raises:
-        ValueError: on an unknown point, a duplicate point, an unmatched
-            point, or a crossing pair.
+        ValueError: on a negative size, an unknown point, a duplicate
+            point, an unmatched point, or a crossing pair.
     """
+    if min(m, n_t, n_b) < 0:
+        raise ValueError(f"negative grid size in ({m}, {n_t}, {n_b})")
     pos = _positions(m, n_t, n_b)
     seen: set[Point] = set()
     arcs: list[tuple[int, int, Pair]] = []
@@ -328,22 +338,47 @@ def is_proper_arc(C: Connection, c: Pair) -> bool:
 # -- symmetries ---------------------------------------------------------
 
 
-def _half_turn_point(C: Connection, p: Point) -> Point:
-    """Image of a boundary point of C under the half turn."""
-    side, i = p
-    if side == "T":
-        return ("B", C.n_t + 1 - i)
-    if side == "B":
-        return ("T", C.n_b + 1 - i)
-    if side == "L":
-        return ("R", C.m + 1 - i)
-    return ("L", C.m + 1 - i)
+@lru_cache(maxsize=1024)
+def _relabelling(
+    shape: tuple[int, int, int],
+    start: int,
+    target: tuple[int, int, int],
+    at: int,
+    drop: tuple[int, ...],
+) -> dict[Point, Point]:
+    """Point map of :func:`_relabel`, one per distinct set of arguments
+    (shared between callers, so read only)."""
+    source, image = boundary_points(*shape), boundary_points(*target)
+    N = len(source)
+    word = [(start + j) % N for j in range(N)]
+    word = [k for k in word if k not in drop]
+    return {source[k]: image[(at + j) % len(image)] for j, k in enumerate(word)}
+
+
+def _relabel(
+    C: Connection,
+    start: int,
+    m: int,
+    n_t: int,
+    n_b: int,
+    at: int = 0,
+    drop: tuple[int, ...] = (),
+) -> Connection:
+    """Lay C's clockwise word onto the boundary of an (m, n_t, n_b) piece.
+
+    The word is read from clockwise position ``start``, skipping the
+    positions in ``drop`` (the ends of whole arcs), and its points go to
+    ``boundary_points(m, n_t, n_b)`` from position ``at`` on.  The order
+    is kept, so arcs stay noncrossing; the result is still built through
+    :func:`new_connection`.
+    """
+    f = _relabelling((C.m, C.n_t, C.n_b), start, (m, n_t, n_b), at, drop)
+    return new_connection(m, n_t, n_b, [(f[p], f[q]) for p, q in C.pairs if p in f])
 
 
 def rotate_pi(C: Connection) -> Connection:
     """Rotate the rectangle by a half turn (an involution)."""
-    pairs = [(_half_turn_point(C, p), _half_turn_point(C, q)) for p, q in C.pairs]
-    return new_connection(C.m, C.n_b, C.n_t, pairs)
+    return _relabel(C, C.n_t + C.m, C.m, C.n_b, C.n_t)
 
 
 def reflect(C: Connection) -> Connection:
@@ -363,18 +398,7 @@ def reflect(C: Connection) -> Connection:
 def rotate_quarter(C: Connection) -> Connection:
     """Rotate a Catalan state clockwise by a quarter turn: Cat(m,n) -> Cat(n,m)."""
     n = C.n
-
-    def f(p: Point) -> Point:
-        side, i = p
-        if side == "L":
-            return ("T", C.m + 1 - i)
-        if side == "T":
-            return ("R", i)
-        if side == "R":
-            return ("B", C.m + 1 - i)
-        return ("L", i)
-
-    return new_connection(n, C.m, C.m, [(f(p), f(q)) for p, q in C.pairs])
+    return _relabel(C, 2 * n + C.m, n, C.m, C.m)
 
 
 # -- gluing and the vertical product -------------------------------------
@@ -469,51 +493,22 @@ def tau_shift(C: Connection, t: int) -> Connection:
 
     Positive t turns the first t left points and first t right points into
     new top corners, giving a connection with m-t rows and top width
-    n_t + 2t; the boundary sequence itself is unchanged, so noncrossing is
-    preserved.  Negative t = -s folds the s outermost top points of each
-    corner down the sides.  The bottom edge never moves.
+    n_t + 2t: the clockwise word read from L_t becomes the new one from T1.
+    Negative t = -s folds the s outermost top points of each corner down
+    the sides: the word read from T_(s+1) does.  The bottom edge never
+    moves.
     """
     if t == 0:
         return C
-    n_t = C.n_t
     if t > 0:
         if t > C.m:
             raise ValueError("shift out of range")
-
-        def f(p: Point) -> Point:
-            side, i = p
-            if side == "B":
-                return p
-            if side == "L":
-                return ("T", t + 1 - i) if i <= t else ("L", i - t)
-            if side == "R":
-                return ("T", t + n_t + i) if i <= t else ("R", i - t)
-            return ("T", t + i)
-
-        return new_connection(
-            C.m - t, n_t + 2 * t, C.n_b, [(f(p), f(q)) for p, q in C.pairs]
-        )
-    s = -t
-    if 2 * s > n_t:
-        raise ValueError("shift out of range")
-
-    def g(p: Point) -> Point:
-        side, i = p
-        if side == "B":
-            return p
-        if side == "L":
-            return ("L", i + s)
-        if side == "R":
-            return ("R", i + s)
-        if i <= s:
-            return ("L", s + 1 - i)
-        if i > n_t - s:
-            return ("R", i - (n_t - s))
-        return ("T", i - s)
-
-    return new_connection(
-        C.m + s, n_t - 2 * s, C.n_b, [(g(p), g(q)) for p, q in C.pairs]
-    )
+        start = C.n_t + C.n_b + 2 * C.m - t
+    else:
+        if -2 * t > C.n_t:
+            raise ValueError("shift out of range")
+        start = -t
+    return _relabel(C, start, C.m - t, C.n_t + 2 * t, C.n_b)
 
 
 # -- arc removal ----------------------------------------------------------
@@ -541,19 +536,12 @@ def remove_arc(C: Connection, c) -> Connection:
     c = _find_pair(C, c)
     if not is_proper_arc(C, c):
         raise ValueError("arc is not proper")
-    points, mate = _clockwise(C)
-    N = len(points)
-    a = points.index(c[0])
+    pos = _positions(m, n, n)
     if "B" in (c[0][0], c[1][0]):
-        start, new_start = n, n
+        start, at = n, n
     else:
-        start, new_start = 2 * n + m, 2 * n + m - 1
-    word = [(start + j) % N for j in range(N)]
-    word = [k for k in word if k not in (a, mate[a])]
-    target = boundary_points(m - 1, n, n)
-    image = {k: target[(new_start + j) % (N - 2)] for j, k in enumerate(word)}
-    pairs = [(image[k], image[mate[k]]) for k in word if k < mate[k]]
-    return new_connection(m - 1, n, n, pairs)
+        start, at = 2 * n + m, 2 * n + m - 1
+    return _relabel(C, start, m - 1, n, n, at, tuple(sorted((pos[c[0]], pos[c[1]]))))
 
 
 # -- extended labels and removability -------------------------------------
@@ -564,32 +552,17 @@ def extended_labels(C: Connection, c) -> tuple[int, int]:
 
     The left and bottom edges extend the left-side numbering (top points
     count down from 0, bottom points continue past m); symmetrically for
-    the right side.  Returns and corner arcs are labeled through the
-    extension; side returns are rejected.
+    the right side.  a is the left-walk index of the end further left (L
+    at x=0, T_i and B_i at x=i, R at x=n+1) and b the right-walk index of
+    the other end.  Top-to-bottom strands and side returns are rejected.
     """
     m, n = C.m, C.n
     c = _find_pair(C, c)
-    by_side: dict[str, list[int]] = {}
-    for side, i in c:
-        by_side.setdefault(side, []).append(i)
-    sides = frozenset(by_side)
-    if sides == frozenset({"L", "R"}):
-        return by_side["L"][0], by_side["R"][0]
-    if sides == frozenset({"L", "T"}):
-        return by_side["L"][0], by_side["T"][0] - n
-    if sides == frozenset({"T", "R"}):
-        return 1 - by_side["T"][0], by_side["R"][0]
-    if sides == frozenset({"T"}):
-        i, j = sorted(by_side["T"])
-        return 1 - i, j - n
-    if sides == frozenset({"L", "B"}):
-        return by_side["L"][0], m + n + 1 - by_side["B"][0]
-    if sides == frozenset({"R", "B"}):
-        return m + by_side["B"][0], by_side["R"][0]
-    if sides == frozenset({"B"}):
-        i, j = sorted(by_side["B"])
-        return m + i, m + n + 1 - j
-    raise ValueError("arc has no extended labels")
+    if not is_proper_arc(C, c):
+        raise ValueError("arc has no extended labels")
+    x = {"L": 0, "R": n + 1}
+    p, q = sorted(c, key=lambda pt: x.get(pt[0], pt[1]))
+    return _left_walk(p, m, n), _right_walk(q, m, n)
 
 
 def _left_walk(p: Point, m: int, n: int) -> Optional[int]:
@@ -680,8 +653,9 @@ def find_removable_arcs(C: Connection) -> list[Pair]:
 def is_vertically_decomposable(C: Connection) -> Optional[int]:
     """Smallest i with n arcs crossing horizontal line i, if any (0..m)."""
     n = C.n
+    mate = _clockwise(C)[1]
     for i in range(C.m + 1):
-        if line_intersections(C, "horizontal", i) == n:
+        if _crossing(mate, *_cut(C, "horizontal", i)) == n:
             return i
     return None
 

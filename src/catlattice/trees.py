@@ -334,47 +334,35 @@ plucking_factored = plucking
 def tree_from_state(C) -> Node:
     """Plane rooted tree of a Catalan state without bottom returns.
 
-    Unfold the side points over the top, so the state becomes arches over a
-    word plus strands dropping to the bottom edge.  The strands form a path
-    below the root (deepest strand = leftmost bottom point); every arch
-    hangs under the deepest strand vertex, or under the arch directly
+    Unfold the side points over the top: the clockwise word L_m..L_1,
+    T_1..T_n, R_1..R_m becomes one top edge, so the state is arches over
+    that word plus strands dropping to the bottom edge.  The strands form a
+    path below the root (deepest strand = leftmost bottom point); every
+    arch hangs under the deepest strand vertex, or under the arch directly
     enclosing it, keeping word order.  A leaf arch that was a side return
     of the original state starts with delay equal to its lower end's index.
     """
-    from .states import classify, tau_shift
+    from .states import _clockwise, classify
 
     n = C.n
     if classify(C).bottom_returns:
         raise ValueError("state has bottom returns")
     m = C.m
-    D = tau_shift(C, m) if m else C
+    points, mate = _clockwise(C)
+    first, size = 2 * n + m, 2 * m + n  # L_m's clockwise position; word length
 
-    def original(w: int):
-        if w <= m:
-            return ("L", m + 1 - w)
-        if w <= m + n:
-            return ("T", w - m)
-        return ("R", w - m - n)
-
-    arches: list[tuple[int, int]] = []
-    for p, q in D.pairs:
-        if p[0] == "T" and q[0] == "T":
-            a, b = sorted((p[1], q[1]))
-            arches.append((a, b))
-
-    def arch_delay(a: int, b: int) -> int:
-        pa, pb = original(a), original(b)
-        if pa[0] == pb[0] and pa[0] in ("L", "R"):
-            return max(pa[1], pb[1])
-        return 1
-
-    # group arches into a nesting forest, children in word order
-    arches.sort(key=lambda ab: (ab[0], -ab[1]))
+    # arches by word position of their left end, grouped into a nesting
+    # forest, children in word order
     roots: list = []
-    stack: list = []  # (a, b, children)
-    for a, b in arches:
-        rec = (a, b, [])
-        while stack and stack[-1][1] < a:
+    stack: list = []  # (right end, delay, children)
+    for a in range(size):
+        k = (first + a) % len(points)
+        b = (mate[k] - first) % len(points)
+        if not a < b < size:
+            continue
+        p, q = points[k], points[mate[k]]
+        rec = (b, max(p[1], q[1]) if p[0] == q[0] in ("L", "R") else 1, [])
+        while stack and stack[-1][0] < a:
             stack.pop()
         if stack:
             stack[-1][2].append(rec)
@@ -383,9 +371,9 @@ def tree_from_state(C) -> Node:
         stack.append(rec)
 
     def build(rec) -> Node:
-        a, b, kids = rec
+        _, delay, kids = rec
         if not kids:
-            return Node((), arch_delay(a, b))
+            return Node((), delay)
         ordered = kids if CHILDREN_LEFT_TO_RIGHT else list(reversed(kids))
         return Node(tuple(build(kid) for kid in ordered))
 

@@ -1,14 +1,17 @@
 """The clockwise boundary view against the definitions it replaced.
 
-Cut-line counts, removable arcs, local families and arc removal are all
+Cut-line counts, removable arcs, local families, the symmetries, the
+tau-shifts, arc removal, the tree of a state and extended labels are all
 read off one clockwise view of a state (its points in ``boundary_points``
 order and each point's partner position).  The functions below are the
 earlier direct definitions, kept literally as references: a region set per
 cut line, a token list with corner sentinels for the two sides of an arc, a
-scan of every arc for every (start, length) boundary interval, and arc
-removal through the half turn and the side-to-top shifts.  They are
-compared with the library on every state with m + n <= 8 and on seeded
-random states of Cat(5,6) and Cat(6,6).
+scan of every arc for every (start, length) boundary interval, a point map
+per side for the half turn, the quarter turn and the tau-shifts, arc
+removal through the half turn and the side-to-top shifts, the tree read
+off the fully shifted state, and one extended-label branch per pair of
+sides.  They are compared with the library on every state with m + n <= 8
+and on seeded random states of Cat(5,6) and Cat(6,6).
 """
 
 import random
@@ -17,17 +20,18 @@ import pytest
 
 from catlattice import coeff as E
 from catlattice import states as S
+from catlattice import trees as T
 from catlattice.states import (
+    Connection,
     Point,
     _adjacent_descriptions,
     _find_pair,
-    _half_turn_point,
     boundary_points,
+    classify,
     is_proper_arc,
     new_connection,
-    rotate_pi,
-    tau_shift,
 )
+from catlattice.trees import CHILDREN_LEFT_TO_RIGHT, Node
 
 
 # -- reference definitions ------------------------------------------------------
@@ -138,6 +142,191 @@ def ref_vertical_factorizations(C):
     return out
 
 
+def ref_half_turn_point(C: Connection, p: Point) -> Point:
+    """Image of a boundary point of C under the half turn."""
+    side, i = p
+    if side == "T":
+        return ("B", C.n_t + 1 - i)
+    if side == "B":
+        return ("T", C.n_b + 1 - i)
+    if side == "L":
+        return ("R", C.m + 1 - i)
+    return ("L", C.m + 1 - i)
+
+
+def ref_rotate_pi(C: Connection) -> Connection:
+    """Rotate the rectangle by a half turn (an involution)."""
+    pairs = [
+        (ref_half_turn_point(C, p), ref_half_turn_point(C, q)) for p, q in C.pairs
+    ]
+    return new_connection(C.m, C.n_b, C.n_t, pairs)
+
+
+def ref_rotate_quarter(C: Connection) -> Connection:
+    """Rotate a Catalan state clockwise by a quarter turn: Cat(m,n) -> Cat(n,m)."""
+    n = C.n
+
+    def f(p: Point) -> Point:
+        side, i = p
+        if side == "L":
+            return ("T", C.m + 1 - i)
+        if side == "T":
+            return ("R", i)
+        if side == "R":
+            return ("B", C.m + 1 - i)
+        return ("L", i)
+
+    return new_connection(n, C.m, C.m, [(f(p), f(q)) for p, q in C.pairs])
+
+
+def ref_tau_shift(C: Connection, t: int) -> Connection:
+    """Slide t points of each side onto the top edge (t < 0 folds back down).
+
+    Positive t turns the first t left points and first t right points into
+    new top corners, giving a connection with m-t rows and top width
+    n_t + 2t; the boundary sequence itself is unchanged, so noncrossing is
+    preserved.  Negative t = -s folds the s outermost top points of each
+    corner down the sides.  The bottom edge never moves.
+    """
+    if t == 0:
+        return C
+    n_t = C.n_t
+    if t > 0:
+        if t > C.m:
+            raise ValueError("shift out of range")
+
+        def f(p: Point) -> Point:
+            side, i = p
+            if side == "B":
+                return p
+            if side == "L":
+                return ("T", t + 1 - i) if i <= t else ("L", i - t)
+            if side == "R":
+                return ("T", t + n_t + i) if i <= t else ("R", i - t)
+            return ("T", t + i)
+
+        return new_connection(
+            C.m - t, n_t + 2 * t, C.n_b, [(f(p), f(q)) for p, q in C.pairs]
+        )
+    s = -t
+    if 2 * s > n_t:
+        raise ValueError("shift out of range")
+
+    def g(p: Point) -> Point:
+        side, i = p
+        if side == "B":
+            return p
+        if side == "L":
+            return ("L", i + s)
+        if side == "R":
+            return ("R", i + s)
+        if i <= s:
+            return ("L", s + 1 - i)
+        if i > n_t - s:
+            return ("R", i - (n_t - s))
+        return ("T", i - s)
+
+    return new_connection(
+        C.m + s, n_t - 2 * s, C.n_b, [(g(p), g(q)) for p, q in C.pairs]
+    )
+
+
+def ref_tree_from_state(C) -> Node:
+    """Plane rooted tree of a Catalan state without bottom returns.
+
+    Unfold the side points over the top, so the state becomes arches over a
+    word plus strands dropping to the bottom edge.  The strands form a path
+    below the root (deepest strand = leftmost bottom point); every arch
+    hangs under the deepest strand vertex, or under the arch directly
+    enclosing it, keeping word order.  A leaf arch that was a side return
+    of the original state starts with delay equal to its lower end's index.
+    """
+    n = C.n
+    if classify(C).bottom_returns:
+        raise ValueError("state has bottom returns")
+    m = C.m
+    D = ref_tau_shift(C, m) if m else C
+
+    def original(w: int):
+        if w <= m:
+            return ("L", m + 1 - w)
+        if w <= m + n:
+            return ("T", w - m)
+        return ("R", w - m - n)
+
+    arches: list[tuple[int, int]] = []
+    for p, q in D.pairs:
+        if p[0] == "T" and q[0] == "T":
+            a, b = sorted((p[1], q[1]))
+            arches.append((a, b))
+
+    def arch_delay(a: int, b: int) -> int:
+        pa, pb = original(a), original(b)
+        if pa[0] == pb[0] and pa[0] in ("L", "R"):
+            return max(pa[1], pb[1])
+        return 1
+
+    # group arches into a nesting forest, children in word order
+    arches.sort(key=lambda ab: (ab[0], -ab[1]))
+    roots: list = []
+    stack: list = []  # (a, b, children)
+    for a, b in arches:
+        rec = (a, b, [])
+        while stack and stack[-1][1] < a:
+            stack.pop()
+        if stack:
+            stack[-1][2].append(rec)
+        else:
+            roots.append(rec)
+        stack.append(rec)
+
+    def build(rec) -> Node:
+        a, b, kids = rec
+        if not kids:
+            return Node((), arch_delay(a, b))
+        ordered = kids if CHILDREN_LEFT_TO_RIGHT else list(reversed(kids))
+        return Node(tuple(build(kid) for kid in ordered))
+
+    top = [build(r) for r in (roots if CHILDREN_LEFT_TO_RIGHT else reversed(roots))]
+    node = Node(tuple(top)) if top or n == 0 else Node((), 1)
+    for _ in range(n):
+        node = Node((node,))
+    return node
+
+
+def ref_extended_labels(C: Connection, c) -> tuple[int, int]:
+    """Labels (a, b) writing a proper arc as joining L_a to R_b.
+
+    The left and bottom edges extend the left-side numbering (top points
+    count down from 0, bottom points continue past m); symmetrically for
+    the right side.  Returns and corner arcs are labeled through the
+    extension; side returns are rejected.
+    """
+    m, n = C.m, C.n
+    c = _find_pair(C, c)
+    by_side: dict[str, list[int]] = {}
+    for side, i in c:
+        by_side.setdefault(side, []).append(i)
+    sides = frozenset(by_side)
+    if sides == frozenset({"L", "R"}):
+        return by_side["L"][0], by_side["R"][0]
+    if sides == frozenset({"L", "T"}):
+        return by_side["L"][0], by_side["T"][0] - n
+    if sides == frozenset({"T", "R"}):
+        return 1 - by_side["T"][0], by_side["R"][0]
+    if sides == frozenset({"T"}):
+        i, j = sorted(by_side["T"])
+        return 1 - i, j - n
+    if sides == frozenset({"L", "B"}):
+        return by_side["L"][0], m + n + 1 - by_side["B"][0]
+    if sides == frozenset({"R", "B"}):
+        return m + by_side["B"][0], by_side["R"][0]
+    if sides == frozenset({"B"}):
+        i, j = sorted(by_side["B"])
+        return m + i, m + n + 1 - j
+    raise ValueError("arc has no extended labels")
+
+
 def ref_remove_arc(C, c):
     n = C.n
     if C.m == 0:
@@ -146,10 +335,12 @@ def ref_remove_arc(C, c):
     if not is_proper_arc(C, c):
         raise ValueError("arc is not proper")
     if "B" in (c[0][0], c[1][0]):
-        flip = rotate_pi(C)
-        fc = _find_pair(flip, (_half_turn_point(C, c[0]), _half_turn_point(C, c[1])))
-        return rotate_pi(ref_remove_arc(flip, fc))
-    D = tau_shift(C, C.m)
+        flip = ref_rotate_pi(C)
+        fc = _find_pair(
+            flip, (ref_half_turn_point(C, c[0]), ref_half_turn_point(C, c[1]))
+        )
+        return ref_rotate_pi(ref_remove_arc(flip, fc))
+    D = ref_tau_shift(C, C.m)
 
     def unfolded(p: Point) -> int:
         side, i = p
@@ -173,7 +364,7 @@ def ref_remove_arc(C, c):
         if frozenset((p, q)) != frozenset((("T", a), ("T", b)))
     ]
     D2 = new_connection(0, D.n_t - 2, D.n_b, kept)
-    return tau_shift(D2, -(C.m - 1)) if C.m > 1 else D2
+    return ref_tau_shift(D2, -(C.m - 1)) if C.m > 1 else D2
 
 
 # -- inputs -----------------------------------------------------------------------
@@ -242,12 +433,42 @@ def check_state(C, each_arc=True):
     return removals
 
 
+def same_or_same_error(got, want, *args):
+    """Call want(*args); got(*args) must return the same or raise the same."""
+    try:
+        expected = want(*args)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=str(err)):
+            got(*args)
+        return None
+    assert got(*args) == expected, args
+    return expected
+
+
+def check_relabellings(C):
+    """Half and quarter turn, every tau-shift of C (one past each end of the
+    range must fail the same way), each upward shift shifted back down and
+    one step too far down, the tree of the state and the extended labels of
+    every arc."""
+    assert S.rotate_pi(C) == ref_rotate_pi(C), S.render_state(C)
+    assert S.rotate_quarter(C) == ref_rotate_quarter(C), S.render_state(C)
+    for t in range(-(C.n_t // 2) - 1, C.m + 2):
+        D = same_or_same_error(S.tau_shift, ref_tau_shift, C, t)
+        if D is not None and t > 0:
+            assert same_or_same_error(S.tau_shift, ref_tau_shift, D, -t) == C
+            same_or_same_error(S.tau_shift, ref_tau_shift, D, -(D.n_t // 2) - 1)
+    same_or_same_error(T.tree_from_state, ref_tree_from_state, C)
+    for arc in C.pairs:
+        same_or_same_error(S.extended_labels, ref_extended_labels, C, arc)
+
+
 def test_every_state_up_to_eight_boundary_pairs():
     count = removals = 0
     for C in small_states():
         # is_removable asks about one arc; every arc of the larger states
         # is covered through find_removable_arcs
         removals += check_state(C, each_arc=len(C.pairs) <= 6)
+        check_relabellings(C)
         count += 1
     assert count == sum((t + 1) * c for t, c in enumerate(
         [1, 2, 5, 14, 42, 132, 429, 1430], start=1
@@ -259,8 +480,13 @@ def test_random_states_at_cat_5_6_and_6_6():
     seen = set()
     for C in random_states():
         check_state(C)
+        check_relabellings(C)
         seen.add(C)
     assert len(seen) > 300
+
+
+def test_relabelling_cache_is_bounded():
+    assert S._relabelling.cache_info().maxsize is not None
 
 
 def test_removability_of_a_named_arc_form():

@@ -79,6 +79,14 @@ def test_enumerate():
     )
 
 
+@pytest.mark.parametrize("argv", [("--", "-1", "2"), ("2", "-1", "--coeffs")])
+def test_enumerate_negative_size_exits_1(argv):
+    r = run("enumerate", *argv)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ") and "negative grid size" in r.stderr
+
+
 def test_enumerate_realizable_filter():
     full = run("enumerate", "2", "2")
     real = run("enumerate", "2", "2", "--realizable")

@@ -32,6 +32,15 @@ def test_new_connection_validation():
         S.new_connection(1, 1, 1, [(("T", 1), ("R", 1))])
 
 
+def test_negative_grid_sizes_rejected():
+    for shape in [(-1, 2, 2), (2, -1, -1), (0, 0, -1)]:
+        with pytest.raises(ValueError, match="negative grid size"):
+            S.new_connection(*shape, [])
+    for m, n in [(-1, 2), (2, -1)]:
+        with pytest.raises(ValueError, match="negative grid size"):
+            list(S.enumerate_catalan(m, n))
+
+
 def test_crossing_pairs_rejected():
     with pytest.raises(ValueError, match="crossing pair"):
         S.parse_state("cat(1,2): T1-B1, T2-L1, R1-B2")
