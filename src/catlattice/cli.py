@@ -184,13 +184,6 @@ def _cmd_selftest(args) -> int:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="catlattice", description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        metavar="N",
-        help="accepted and ignored; every command runs in one thread",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coeff", help="coefficient of a Catalan state")
@@ -247,9 +240,6 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 1
     try:
         return args.func(args)
     except kauffman.BudgetError as exc:

@@ -33,12 +33,7 @@ from .maxseq import beta
 from .states import (
     Connection,
     Pair,
-    _adjacent_descriptions,
-    _clockwise,
-    _crossing,
-    _cut,
     _point_text,
-    boundary_points,
     classify,
     extended_labels,
     find_removable_arcs,
@@ -48,12 +43,9 @@ from .states import (
     remove_arc,
     rotate_pi,
     split_at,
+    view,
 )
 from .trees import plucking, tree_from_state
-
-#: Read a local family's arch pattern clockwise along its boundary interval
-#: when building the side-anchored companion state (the calibrated choice).
-PATTERN_CLOCKWISE = True
 
 
 class TraceStep(NamedTuple):
@@ -115,13 +107,9 @@ def iter_vertical_factorizations(C: Connection) -> Iterator[LocalFamily]:
     closed (matched among itself) iff every partner offset seen so far is
     less than its length.  Yield order is by start, then length.
     """
-    m, n = C.m, C.n
-    pts, mate = _clockwise(C)
-    N = len(pts)
-    rank = {}
-    for r, (p, q) in enumerate(C.pairs):
-        rank[p] = rank[q] = r
-    levels = [_adjacent_descriptions(arc, m, n) for arc in C.pairs]
+    m, N = C.m, 2 * (C.m + C.n)
+    v = view(C)
+    pts, mate, levels = v.points, v.mate, v.levels
     for start in range(N):
         reach = 0
         sides = set()
@@ -133,7 +121,7 @@ def iter_vertical_factorizations(C: Connection) -> Iterator[LocalFamily]:
                 break
             if length < 4 or reach >= length:
                 continue
-            inside = sorted({rank[pts[(start + o) % N]] for o in range(length)})
+            inside = sorted({v.pair[(start + o) % N] for o in range(length)})
             lam_js = sorted(j for r in inside for j in levels[r])
             if lam_js:
                 lo, hi = lam_js[0], lam_js[-1]
@@ -161,7 +149,7 @@ def vertical_factor_parts(
     by the nested rainbow on its interval.
     """
     m, n = C.m, C.n
-    pts = boundary_points(m, n, n)
+    pts = view(C).points
     N = len(pts)
     interval = [pts[(fam.start + k) % N] for k in range(fam.length)]
     lam = fam.length // 2
@@ -173,8 +161,7 @@ def vertical_factor_parts(
     C_lam = new_connection(m, n, n, kept + rainbow)
 
     # side-anchored companion state on the family's own rectangle
-    order = interval if PATTERN_CLOCKWISE else list(reversed(interval))
-    top_index = {p: k + 1 for k, p in enumerate(order)}
+    top_index = {p: k + 1 for k, p in enumerate(interval)}
     pattern = [
         (("T", top_index[p]), ("T", top_index[q])) for p, q in fam.arcs
     ]
@@ -186,13 +173,8 @@ def vertical_factor_parts(
 
 def vertical_decompose(C: Connection) -> list[Connection]:
     """Indecomposable blocks between consecutive saturated interior lines."""
-    n = C.n
-    mate = _clockwise(C)[1]
-    cuts = [
-        i
-        for i in range(1, C.m)
-        if _crossing(mate, *_cut(C, "horizontal", i)) == n
-    ]
+    n, counts = C.n, view(C).horizontal
+    cuts = [i for i in range(1, C.m) if counts[i] == n]
     parts = []
     rest = C
     taken = 0

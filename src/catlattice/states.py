@@ -14,14 +14,18 @@ Points are written T<i>, B<i>, L<i>, R<i>; pairs are listed in reading
 order (top, left, right, then bottom points, index ascending), with the
 earlier endpoint of each pair written first.
 
-Boundary questions -- cut lines, removable arcs, local families -- are
-asked of one clockwise view: the points in :func:`boundary_points` order
-(T1..Tn_t, R1..Rm, Bn_b..B1, Lm..L1, positions 0..N-1) and, for each
-position, the position of its partner.  A cut line is a stretch [a, b) of
-that order, and the arcs it crosses are the arcs with exactly one end in
-the stretch.  Horizontal cut i (below L_i and R_i) is the stretch
-[n_t+i, n_t+2m+n_b-i) -- everything under the line -- and vertical cut j
-(right of T_j and B_j) is [j, 2n+m-j).
+Boundary questions -- cut lines, the arc census, removable arcs, local
+families, the tree of a state -- are asked of one clockwise view,
+:func:`view`, the one place the boundary encoding is read off the pairs:
+the points in :func:`boundary_points` order (T1..Tn_t, R1..Rm, Bn_b..B1,
+Lm..L1, positions 0..N-1), the position of each point's partner, the pair
+at each position, each arc's side-walk levels, the census and the
+crossing count of every cut line.  It is built once per connection and
+cached.  A cut line is a stretch [a, b) of the clockwise order, and the
+arcs it crosses are the arcs with exactly one end in the stretch.
+Horizontal cut i (below L_i and R_i) is the stretch [n_t+i, n_t+2m+n_b-i)
+-- everything under the line -- and vertical cut j (right of T_j and B_j)
+is [j, 2n+m-j).
 
 Symmetries, tau-shifts and arc removal are relabellings of the same view.
 The half turn, the quarter turn and the tau-shifts keep the clockwise
@@ -118,8 +122,11 @@ def _rank(p: Point) -> tuple[int, int]:
     return (_SIDE_RANK[p[0]], p[1])
 
 
-def _positions(m: int, n_t: int, n_b: int) -> dict[Point, int]:
-    return {p: k for k, p in enumerate(boundary_points(m, n_t, n_b))}
+@lru_cache(maxsize=256)
+def _shape(m: int, n_t: int, n_b: int) -> tuple[tuple[Point, ...], dict[Point, int]]:
+    """A shape's points in clockwise order and each point's position (read only)."""
+    points = tuple(boundary_points(m, n_t, n_b))
+    return points, {p: k for k, p in enumerate(points)}
 
 
 def new_connection(m: int, n_t: int, n_b: int, pairs) -> Connection:
@@ -135,7 +142,7 @@ def new_connection(m: int, n_t: int, n_b: int, pairs) -> Connection:
     """
     if min(m, n_t, n_b) < 0:
         raise ValueError(f"negative grid size in ({m}, {n_t}, {n_b})")
-    pos = _positions(m, n_t, n_b)
+    points, pos = _shape(m, n_t, n_b)
     seen: set[Point] = set()
     arcs: list[tuple[int, int, Pair]] = []
     for raw in pairs:
@@ -151,7 +158,7 @@ def new_connection(m: int, n_t: int, n_b: int, pairs) -> Connection:
             p, q, a, b = q, p, b, a
         arcs.append((a, b, (p, q)))
     if len(seen) != len(pos):
-        missing = next(pt for pt in boundary_points(m, n_t, n_b) if pt not in seen)
+        missing = next(pt for pt in points if pt not in seen)
         raise ValueError(f"unmatched point {_point_text(missing)}")
     arcs.sort()
     for i, (a1, b1, pr1) in enumerate(arcs):
@@ -246,19 +253,35 @@ def coordinate(p: Point, m: int, n: int) -> int:
     raise ValueError("bottom point has no coordinate")
 
 
-def _clockwise(C: Connection) -> tuple[list[Point], list[int]]:
-    """The clockwise view of C: its points in :func:`boundary_points` order
-    and ``mate[k]``, the position of the partner of the point at k."""
-    pos = _positions(C.m, C.n_t, C.n_b)
-    mate = [0] * len(pos)
-    for p, q in C.pairs:
-        mate[pos[p]], mate[pos[q]] = pos[q], pos[p]
-    return list(pos), mate
+class StateClass(NamedTuple):
+    """Arc census of a state (returns = arcs with both ends on one edge)."""
+
+    top_returns: int
+    bottom_returns: int
+    left_returns: int
+    right_returns: int
+    top_bottom_arcs: int
 
 
-def _crossing(mate: list[int], a: int, b: int) -> int:
-    """Number of arcs with exactly one end in the positions [a, b)."""
-    return sum(1 for k in range(a, b) if not a <= mate[k] < b)
+class BoundaryView(NamedTuple):
+    """Boundary data of one connection (see :func:`view`).
+
+    ``points`` and ``pos`` are shared by every connection of one shape.
+    ``mate[k]`` is the position of the partner of the point at k, ``pair[k]``
+    the index of its pair in ``C.pairs``, ``levels[r]`` the side-walk
+    levels of pair r, and ``horizontal[i]`` and ``vertical[j]`` count the
+    arcs crossing cut lines i and j.  ``levels`` and ``vertical`` are None
+    unless the connection is a Catalan state.
+    """
+
+    points: tuple[Point, ...]
+    pos: dict[Point, int]
+    mate: tuple[int, ...]
+    pair: tuple[int, ...]
+    levels: Optional[tuple[tuple[int, ...], ...]]
+    census: StateClass
+    horizontal: tuple[int, ...]
+    vertical: Optional[tuple[int, ...]]
 
 
 def _cut(C: Connection, orientation: str, i: int) -> tuple[int, int]:
@@ -275,6 +298,45 @@ def _cut(C: Connection, orientation: str, i: int) -> tuple[int, int]:
     raise ValueError(f"unknown orientation {orientation!r}")
 
 
+def _cut_counts(mate: list[int], a: int, b: int, lines: int) -> tuple[int, ...]:
+    """Arcs with exactly one end in each stretch [a+i, b-i), i = 0..lines.
+
+    Dropping an end point from the stretch turns its arc from crossing
+    into outside, or from inside into crossing.
+    """
+    out = [sum(1 for k in range(a, b) if not a <= mate[k] < b)]
+    for i in range(1, lines + 1):
+        lo, hi = a + i, b - i  # the stretch loses lo - 1, then hi
+        step = 1 if lo <= mate[lo - 1] <= hi else -1
+        step += 1 if lo <= mate[hi] < hi else -1
+        out.append(out[-1] + step)
+    return tuple(out)
+
+
+# one coefficient call asks about some ten distinct states
+@lru_cache(maxsize=128)
+def view(C: Connection) -> BoundaryView:
+    """The clockwise boundary view of C (shared between callers, so read only)."""
+    m, n_t = C.m, C.n_t
+    points, pos = _shape(m, n_t, C.n_b)
+    mate = [0] * len(points)
+    pair = [0] * len(points)
+    for r, (p, q) in enumerate(C.pairs):
+        a, b = pos[p], pos[q]
+        mate[a], mate[b] = b, a
+        pair[a] = pair[b] = r
+    levels = vertical = None
+    if C.is_catalan:
+        levels = tuple(tuple(_adjacent_descriptions(pr, m, n_t)) for pr in C.pairs)
+        vertical = _cut_counts(mate, *_cut(C, "vertical", 0), n_t)
+    kinds = [p[0] + q[0] for p, q in C.pairs]  # canonical pairs list a T end first
+    census = StateClass(*(kinds.count(k) for k in ("TT", "BB", "LL", "RR", "TB")))
+    horizontal = _cut_counts(mate, *_cut(C, "horizontal", 0), m)
+    return BoundaryView(
+        points, pos, tuple(mate), tuple(pair), levels, census, horizontal, vertical
+    )
+
+
 def line_intersections(C: Connection, orientation: str, i: int) -> int:
     """Number of arcs crossing a horizontal or vertical cut line.
 
@@ -282,8 +344,9 @@ def line_intersections(C: Connection, orientation: str, i: int) -> int:
     i points of each vertical side; vertical line j (0 <= j <= n) separates
     the left edge plus the first j points of top and bottom.
     """
-    a, b = _cut(C, orientation, i)
-    return _crossing(_clockwise(C)[1], a, b)
+    _cut(C, orientation, i)  # rejects a bad line, and vertical non-Catalan cuts
+    v = view(C)
+    return (v.horizontal if orientation == "horizontal" else v.vertical)[i]
 
 
 def is_realizable(C: Connection) -> bool:
@@ -292,37 +355,14 @@ def is_realizable(C: Connection) -> bool:
     True iff no interior horizontal line is crossed more than n times and
     no interior vertical line more than m times.
     """
-    n = C.n
-    mate = _clockwise(C)[1]
-    if any(_crossing(mate, *_cut(C, "horizontal", i)) > n for i in range(1, C.m)):
+    n, v = C.n, view(C)
+    if any(k > n for k in v.horizontal[1 : C.m]):
         return False
-    return all(_crossing(mate, *_cut(C, "vertical", j)) <= C.m for j in range(1, n))
-
-
-class StateClass(NamedTuple):
-    """Arc census of a state (returns = arcs with both ends on one edge)."""
-
-    top_returns: int
-    bottom_returns: int
-    left_returns: int
-    right_returns: int
-    top_bottom_arcs: int
+    return all(k <= C.m for k in v.vertical[1:n])
 
 
 def classify(C: Connection) -> StateClass:
-    census = {"TT": 0, "BB": 0, "LL": 0, "RR": 0, "TB": 0}
-    for p, q in C.pairs:
-        key = "".join(sorted((p[0], q[0])))
-        key = {"BT": "TB"}.get(key, key)
-        if key in census:
-            census[key] += 1
-    return StateClass(
-        top_returns=census["TT"],
-        bottom_returns=census["BB"],
-        left_returns=census["LL"],
-        right_returns=census["RR"],
-        top_bottom_arcs=census["TB"],
-    )
+    return view(C).census
 
 
 def is_proper_arc(C: Connection, c: Pair) -> bool:
@@ -536,7 +576,7 @@ def remove_arc(C: Connection, c) -> Connection:
     c = _find_pair(C, c)
     if not is_proper_arc(C, c):
         raise ValueError("arc is not proper")
-    pos = _positions(m, n, n)
+    pos = view(C).pos
     if "B" in (c[0][0], c[1][0]):
         start, at = n, n
     else:
@@ -610,17 +650,17 @@ def _removable(C: Connection, candidates) -> list[Pair]:
     removable at m=0).
     """
     m, n = C.m, C.n
-    pos = _positions(m, n, n)
-    levels = [(pos[arc[0]], _adjacent_descriptions(arc, m, n)) for arc in C.pairs]
+    v = view(C)
+    levels = [(v.pos[arc[0]], js) for arc, js in zip(C.pairs, v.levels) if js]
     out = []
     for c in candidates:
         if not is_proper_arc(C, c):
             continue
-        a, b = sorted((pos[c[0]], pos[c[1]]))
+        a, b = sorted((v.pos[c[0]], v.pos[c[1]]))
         inside_is_bottom = "B" in (c[0][0], c[1][0]) or a < n + m <= b
         top, bottom = 0, m
         for k, js in levels:
-            if not js or k in (a, b):
+            if k in (a, b):
                 continue
             if (a < k < b) == inside_is_bottom:
                 bottom = min(bottom, *js)
@@ -653,11 +693,7 @@ def find_removable_arcs(C: Connection) -> list[Pair]:
 def is_vertically_decomposable(C: Connection) -> Optional[int]:
     """Smallest i with n arcs crossing horizontal line i, if any (0..m)."""
     n = C.n
-    mate = _clockwise(C)[1]
-    for i in range(C.m + 1):
-        if _crossing(mate, *_cut(C, "horizontal", i)) == n:
-            return i
-    return None
+    return next((i for i, k in enumerate(view(C).horizontal) if k == n), None)
 
 
 def split_at(C: Connection, i: int) -> tuple[Connection, Connection]:
@@ -666,34 +702,26 @@ def split_at(C: Connection, i: int) -> tuple[Connection, Connection]:
     if line_intersections(C, "horizontal", i) != n:
         raise ValueError("line is not saturating")
     a, b = _cut(C, "horizontal", i)
-    pos = _positions(C.m, n, n)
-
-    def upper(p: Point) -> bool:
-        return not a <= pos[p] < b
+    v = view(C)
+    N = len(v.points)
 
     def lower_point(p: Point) -> Point:
         side, k = p
-        if side == "B":
-            return p
-        return (side, k - i)
+        return p if side == "B" else (side, k - i)
 
-    crossing = []
-    upper_pairs = []
-    lower_pairs = []
+    upper_pairs, lower_pairs = [], []
     for p, q in C.pairs:
-        inside = upper(p) + upper(q)
-        if inside == 2:
+        below = (a <= v.pos[p] < b) + (a <= v.pos[q] < b)
+        if below == 0:
             upper_pairs.append((p, q))
-        elif inside == 0:
+        elif below == 2:
             lower_pairs.append((lower_point(p), lower_point(q)))
-        else:
-            top_end, bot_end = (p, q) if upper(p) else (q, p)
-            crossing.append((top_end, bot_end))
-    # the upper ends read clockwise from L_i round to R_i are B1..Bn's order
-    crossing.sort(key=lambda ends: (pos[ends[0]] - b) % len(pos))
-    for j, (top_end, bot_end) in enumerate(crossing, start=1):
-        upper_pairs.append((top_end, ("B", j)))
-        lower_pairs.append((("T", j), lower_point(bot_end)))
+    # the upper ends of the crossing arcs, read clockwise from L_i round to
+    # R_i, meet B1..Bn above the line and T1..Tn below it
+    crossing = [k % N for k in range(b, N + a) if a <= v.mate[k % N] < b]
+    for j, k in enumerate(crossing, start=1):
+        upper_pairs.append((v.points[k], ("B", j)))
+        lower_pairs.append((("T", j), lower_point(v.points[v.mate[k]])))
     return (
         new_connection(i, n, n, upper_pairs),
         new_connection(C.m - i, n, n, lower_pairs),

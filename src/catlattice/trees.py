@@ -16,6 +16,7 @@ splitting subtree exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .laurent import Laurent, ONE, ZERO, add, monomial_shift, mul
@@ -292,9 +293,6 @@ def find_splitting_subtree(t: Node) -> Optional[Split]:
     return None
 
 
-_MEMO: dict[str, Laurent] = {}
-
-
 def plucking(t: Node) -> Laurent:
     """The plucking polynomial Q(T) in the variable q.
 
@@ -302,25 +300,24 @@ def plucking(t: Node) -> Laurent:
     complementary tree); with no split, Q(T) sums q^(right count) * Q(T - v)
     over the pluckable leaves v.
     """
-    key = render_tree(t)
-    got = _MEMO.get(key)
-    if got is not None:
-        return dict(got)
+    return dict(_plucking(t))
+
+
+@lru_cache(maxsize=4096)
+def _plucking(t: Node) -> Laurent:
+    """:func:`plucking`, one per distinct tree (shared between callers, so
+    read only)."""
     if not t.children:
-        out = dict(ONE)
-    else:
-        split = find_splitting_subtree(t)
-        if split is not None:
-            out = mul(
-                plucking(split_subtree(t, split)),
-                plucking(complementary_tree(t, split)),
-            )
-        else:
-            out = dict(ZERO)
-            for path in pluckable_leaves(t):
-                term = monomial_shift(plucking(pluck(t, path)), right_count(t, path))
-                out = add(out, term)
-    _MEMO[key] = dict(out)
+        return dict(ONE)
+    split = find_splitting_subtree(t)
+    if split is not None:
+        return mul(
+            _plucking(split_subtree(t, split)),
+            _plucking(complementary_tree(t, split)),
+        )
+    out = dict(ZERO)
+    for path in pluckable_leaves(t):
+        out = add(out, monomial_shift(_plucking(pluck(t, path)), right_count(t, path)))
     return out
 
 
@@ -342,13 +339,13 @@ def tree_from_state(C) -> Node:
     enclosing it, keeping word order.  A leaf arch that was a side return
     of the original state starts with delay equal to its lower end's index.
     """
-    from .states import _clockwise, classify
+    from .states import classify, view
 
     n = C.n
     if classify(C).bottom_returns:
         raise ValueError("state has bottom returns")
     m = C.m
-    points, mate = _clockwise(C)
+    points, mate = view(C).points, view(C).mate
     first, size = 2 * n + m, 2 * m + n  # L_m's clockwise position; word length
 
     # arches by word position of their left end, grouped into a nesting

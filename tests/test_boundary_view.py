@@ -1,17 +1,19 @@
 """The clockwise boundary view against the definitions it replaced.
 
-Cut-line counts, removable arcs, local families, the symmetries, the
-tau-shifts, arc removal, the tree of a state and extended labels are all
-read off one clockwise view of a state (its points in ``boundary_points``
-order and each point's partner position).  The functions below are the
-earlier direct definitions, kept literally as references: a region set per
-cut line, a token list with corner sentinels for the two sides of an arc, a
-scan of every arc for every (start, length) boundary interval, a point map
-per side for the half turn, the quarter turn and the tau-shifts, arc
-removal through the half turn and the side-to-top shifts, the tree read
-off the fully shifted state, and one extended-label branch per pair of
-sides.  They are compared with the library on every state with m + n <= 8
-and on seeded random states of Cat(5,6) and Cat(6,6).
+Cut-line counts, the arc census, removable arcs, local families, the
+symmetries, the tau-shifts, arc removal, the tree of a state and extended
+labels are all read off one clockwise view of a state (``states.view``:
+its points in ``boundary_points`` order, each point's partner position,
+the side-walk levels, the census and the cut-line counts).  The functions
+below are the earlier direct definitions, kept literally as references: a
+region set per cut line, a census loop over the pairs, a token list with
+corner sentinels for the two sides of an arc, a scan of every arc for
+every (start, length) boundary interval, a point map per side for the
+half turn, the quarter turn and the tau-shifts, arc removal through the
+half turn and the side-to-top shifts, the tree read off the fully shifted
+state, and one extended-label branch per pair of sides.  They are
+compared with the library on every state with m + n <= 8 and on seeded
+random states of Cat(5,6) and Cat(6,6).
 """
 
 import random
@@ -19,6 +21,7 @@ import random
 import pytest
 
 from catlattice import coeff as E
+from catlattice import samples
 from catlattice import states as S
 from catlattice import trees as T
 from catlattice.states import (
@@ -58,6 +61,22 @@ def ref_is_realizable(C):
         if ref_line_intersections(C, "vertical", j) > C.m:
             return False
     return True
+
+
+def ref_classify(C):
+    census = {"TT": 0, "BB": 0, "LL": 0, "RR": 0, "TB": 0}
+    for p, q in C.pairs:
+        key = "".join(sorted((p[0], q[0])))
+        key = {"BT": "TB"}.get(key, key)
+        if key in census:
+            census[key] += 1
+    return S.StateClass(
+        top_returns=census["TT"],
+        bottom_returns=census["BB"],
+        left_returns=census["LL"],
+        right_returns=census["RR"],
+        top_bottom_arcs=census["TB"],
+    )
 
 
 def ref_two_sides(C, c):
@@ -400,16 +419,27 @@ def random_states():
 # -- comparisons --------------------------------------------------------------------
 
 
-def check_state(C, each_arc=True):
-    m, n = C.m, C.n
-    for i in range(m + 1):
+def check_cuts_and_census(C):
+    """Every cut line and the census of a connection; vertical cuts only
+    exist on Catalan states."""
+    for i in range(C.m + 1):
         assert S.line_intersections(C, "horizontal", i) == ref_line_intersections(
             C, "horizontal", i
-        ), (S.render_state(C), "horizontal", i)
-    for j in range(n + 1):
-        assert S.line_intersections(C, "vertical", j) == ref_line_intersections(
-            C, "vertical", j
-        ), (S.render_state(C), "vertical", j)
+        ), (C, "horizontal", i)
+    if C.is_catalan:
+        for j in range(C.n + 1):
+            assert S.line_intersections(C, "vertical", j) == ref_line_intersections(
+                C, "vertical", j
+            ), (C, "vertical", j)
+    else:
+        with pytest.raises(ValueError, match="connection is not a Catalan state"):
+            S.line_intersections(C, "vertical", 0)
+    assert S.classify(C) == ref_classify(C), C
+
+
+def check_state(C, each_arc=True):
+    m, n = C.m, C.n
+    check_cuts_and_census(C)
     assert S.is_realizable(C) == ref_is_realizable(C), S.render_state(C)
     removable = [arc for arc in C.pairs if ref_is_removable(C, arc)]
     assert S.find_removable_arcs(C) == removable, S.render_state(C)
@@ -454,6 +484,8 @@ def check_relabellings(C):
     assert S.rotate_quarter(C) == ref_rotate_quarter(C), S.render_state(C)
     for t in range(-(C.n_t // 2) - 1, C.m + 2):
         D = same_or_same_error(S.tau_shift, ref_tau_shift, C, t)
+        if D is not None:
+            check_cuts_and_census(D)
         if D is not None and t > 0:
             assert same_or_same_error(S.tau_shift, ref_tau_shift, D, -t) == C
             same_or_same_error(S.tau_shift, ref_tau_shift, D, -(D.n_t // 2) - 1)
@@ -487,6 +519,39 @@ def test_random_states_at_cat_5_6_and_6_6():
 
 def test_relabelling_cache_is_bounded():
     assert S._relabelling.cache_info().maxsize is not None
+
+
+def test_plucking_memo_is_bounded():
+    assert T._plucking.cache_info().maxsize is not None
+
+
+def test_view_cache_is_bounded():
+    assert S.view.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize(
+    "C, kind",
+    [
+        (S.parse_state("cat(2,3): T1-L1, T2-T3, L2-B1, R1-B2, R2-B3"), "tree-formula"),
+        (samples.factor_sample_state(), "vertical-factor"),
+    ],
+    ids=["tree-formula", "vertical-factor"],
+)
+def test_one_coefficient_call_builds_each_view_once(monkeypatch, C, kind):
+    asked = set()
+    cached = S.view
+
+    def spy(D):
+        asked.add(D)
+        return cached(D)
+
+    for module in (S, E):
+        monkeypatch.setattr(module, "view", spy)
+    cached.cache_clear()
+    _, trace = E.coefficient(C)
+    assert kind in [step.kind for step in trace]
+    assert C in asked
+    assert cached.cache_info().misses == len(asked)
 
 
 def test_removability_of_a_named_arc_form():

@@ -102,11 +102,13 @@ def test_enumerate_coeffs_column():
     )
 
 
-def test_output_is_identical_across_thread_counts():
-    one = run("--threads", "1", "enumerate", "2", "3", "--coeffs")
-    four = run("--threads", "4", "enumerate", "2", "3", "--coeffs")
-    assert one.returncode == four.returncode == 0
-    assert one.stdout == four.stdout
+def test_threads_flag_is_a_usage_error():
+    for argv in (("--threads", "4"), ("--threads=1",)):
+        r = run(*argv, "enumerate", "2", "3", "--coeffs")
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert "usage" in r.stderr.lower()
+    assert "unrecognized arguments: --threads=1" in r.stderr
 
 
 def test_realizable_command():
