@@ -103,28 +103,30 @@ def iter_vertical_factorizations(C: Connection) -> Iterator[LocalFamily]:
     disjoint level windows, so the family can slide to the top or bottom
     edge independently of the rest.
 
-    Intervals grow clockwise one point at a time from each start; one is
-    closed (matched among itself) iff every partner offset seen so far is
-    less than its length.  Yield order is by start, then length.
+    The closed intervals from a start are its runs of consecutive sibling
+    arcs (the arc at k spans k..mate[k] clockwise), grown one span at a
+    time.  Yield order is by start, then length.
     """
     m, N = C.m, 2 * (C.m + C.n)
     v = view(C)
     pts, mate, levels = v.points, v.mate, v.levels
     for start in range(N):
-        reach = 0
-        sides = set()
-        for length in range(1, N):
-            k = (start + length - 1) % N
-            reach = max(reach, (mate[k] - start) % N)
-            sides.add(pts[k][0])
+        inside, sides, length = set(), set(), 0
+        while True:
+            span = (mate[(start + length) % N] - start - length) % N + 1
+            if length + span >= N:
+                break
+            for k in range(start + length, start + length + span):
+                inside.add(v.pair[k % N])
+                sides.add(pts[k % N][0])
+            length += span
             if "L" in sides and "R" in sides:
                 break
-            if length < 4 or reach >= length:
+            if length < 4:
                 continue
-            inside = sorted({v.pair[(start + o) % N] for o in range(length)})
-            lam_js = sorted(j for r in inside for j in levels[r])
+            lam_js = [j for r in inside for j in levels[r]]
             if lam_js:
-                lo, hi = lam_js[0], lam_js[-1]
+                lo, hi = min(lam_js), max(lam_js)
                 if lo < 0 or hi > m:
                     continue
                 foreign = (
@@ -135,7 +137,7 @@ def iter_vertical_factorizations(C: Connection) -> Iterator[LocalFamily]:
                 )
                 if any(lo < j < hi for j in foreign):
                     continue
-            yield LocalFamily(start, length, tuple(C.pairs[r] for r in inside))
+            yield LocalFamily(start, length, tuple(C.pairs[r] for r in sorted(inside)))
 
 
 def vertical_factor_parts(
@@ -245,9 +247,13 @@ def _reduce(C, trace, seen, budget_bits) -> Laurent:
             )
         )
         return mul(factor, _reduce(reduced, trace, seen, budget_bits))
+    mate = view(C).mate
     for fam in iter_vertical_factorizations(C):
+        ks = [(fam.start + k) % len(mate) for k in range(fam.length)]
+        if [mate[k] for k in ks] == ks[::-1]:
+            continue  # the family already is the rainbow, so C_lam == C
         C_T, C_lam = vertical_factor_parts(C, fam)
-        if C_lam == C or C_lam in seen:
+        if C_lam in seen:
             continue
         trace.append(
             TraceStep(

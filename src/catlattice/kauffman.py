@@ -11,17 +11,19 @@ visited and unvisited crossings -- n column ports plus one horizontal
 port, each holding its mate's slot index or the code of the finished
 boundary point its strand ends at -- together with the strands already
 closed between finished points.  ``bracket_table`` keeps every frontier;
-``bracket_coefficient_at`` drops those that can no longer end at its
-target.  ``bracket_table_by_enumeration`` is the literal 2^(mn) sum.
+``oracle_coefficient`` looks a state's key up in the cached fold of its
+shape; ``bracket_coefficient_at`` drops the frontiers that can no longer
+end at its target.  ``bracket_table_by_enumeration`` is the 2^(mn) sum.
 """
 
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 from typing import NamedTuple
 
 from .laurent import Laurent, ONE, ZERO, add, monomial, monomial_shift, mul
-from .states import Connection, Point, identity_state, new_connection
+from .states import Connection, Point, new_connection
 
 MarkerGrid = tuple[tuple[int, ...], ...]
 
@@ -181,7 +183,8 @@ def _fold(m: int, n: int, allowed=None) -> dict:
     ne, nw, nw_loop = {e: 1}, {-e: 1}, monomial_shift(LOOP_WEIGHT, -e)
     code = {p: -1 - k for k, p in enumerate(_points(m, n))}
     h = n
-    start = tuple(code[("T", j)] for j in range(1, n + 1)) + (code[("L", 1)],)
+    start = tuple(code[("T", j)] for j in range(1, n + 1))
+    start += (code[("L", 1)],) if m else ()
     table: dict = {(start, ()): dict(ONE)}
     for i in range(1, m + 1):
         for c in range(n):
@@ -242,13 +245,6 @@ def bracket_table(m: int, n: int, budget_bits=None) -> dict[Connection, Laurent]
     with enumeration.  Each final frontier becomes one Connection.
     """
     _check_budget(m, n, budget_bits)
-    if n == 0:
-        flat = new_connection(
-            m, 0, 0, [(("L", i), ("R", i)) for i in range(1, m + 1)]
-        )
-        return {flat: dict(ONE)}
-    if m == 0:
-        return {identity_state(n): dict(ONE)}
     points = _points(m, n)
     table: dict[Connection, Laurent] = {}
     for (cols, frozen), w in _fold(m, n).items():
@@ -287,18 +283,34 @@ def bracket_table_by_enumeration(
     return table
 
 
-_TABLE_CACHE: dict[tuple[int, int], dict[Connection, Laurent]] = {}
+def _frontier_key(C: Connection) -> tuple[tuple[int, ...], tuple]:
+    """C as a final frontier key of ``_fold(C.m, C.n)``: (columns, frozen)."""
+    code = {p: -1 - k for k, p in enumerate(_points(C.m, C.n))}
+    cols = [0] * C.n
+    frozen = []
+    for p, q in C.pairs:
+        if q[0] == "B" and p[0] == "B":
+            cols[p[1] - 1], cols[q[1] - 1] = q[1] - 1, p[1] - 1
+        elif q[0] == "B":
+            cols[q[1] - 1] = code[p]
+        else:
+            a, b = code[p], code[q]
+            frozen.append((a, b) if a < b else (b, a))
+    return tuple(cols), tuple(sorted(frozen))
+
+
+# one fold per grid shape; a coefficient stream meets few shapes
+@lru_cache(maxsize=16)
+def _shape_fold(m: int, n: int) -> dict:
+    """The full fold of one shape (shared between callers, so read only)."""
+    return _fold(m, n)
 
 
 def oracle_coefficient(C: Connection, budget_bits=None) -> Laurent:
-    """Reference coefficient of a Catalan state, straight from the bracket."""
-    key = (C.m, C.n)
+    """Reference coefficient of a Catalan state, straight from the bracket:
+    its frontier key looked up in the cached full fold of its shape."""
     _check_budget(C.m, C.n, budget_bits)
-    table = _TABLE_CACHE.get(key)
-    if table is None:
-        table = bracket_table(C.m, C.n, budget_bits)
-        _TABLE_CACHE[key] = table
-    return dict(table.get(C, ZERO))
+    return dict(_shape_fold(C.m, C.n).get(_frontier_key(C), ZERO))
 
 
 def bracket_coefficient_at(C: Connection) -> Laurent:
@@ -324,19 +336,5 @@ def bracket_coefficient_at(C: Connection) -> Laurent:
 
         turned = bracket_coefficient_at(rotate_quarter(C))
         return substitute_power(turned, -1) if turned else dict(ZERO)
-    m, n = C.m, C.n
-    if m == 0 or n == 0:
-        return dict(bracket_table(m, n).get(C, ZERO))
-    code = {p: -1 - k for k, p in enumerate(_points(m, n))}
-    cols = [0] * n
-    frozen = []
-    for p, q in C.pairs:
-        if q[0] == "B" and p[0] == "B":
-            cols[p[1] - 1], cols[q[1] - 1] = q[1] - 1, p[1] - 1
-        elif q[0] == "B":
-            cols[q[1] - 1] = code[p]
-        else:
-            a, b = code[p], code[q]
-            frozen.append((a, b) if a < b else (b, a))
-    folded = _fold(m, n, allowed=set(frozen))
-    return dict(folded.get((tuple(cols), tuple(sorted(frozen))), ZERO))
+    key = _frontier_key(C)
+    return dict(_fold(C.m, C.n, allowed=set(key[1])).get(key, ZERO))

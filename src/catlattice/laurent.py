@@ -104,25 +104,23 @@ def substitute_power(p: Laurent, e: int) -> Laurent:
     return {k * e: c for k, c in p.items()}
 
 
-_QBIN_CACHE: dict[tuple[int, int], Laurent] = {}
-
-
 def q_binomial(n: int, k: int) -> Laurent:
     """Gaussian binomial coefficient [n choose k]_q.
 
-    Computed by the q-Pascal recurrence, so no division is ever performed.
-    Returns 0 when k < 0 or k > n.
+    Computed row by row down the q-Pascal triangle, columns 0..k only, so
+    no division is ever performed.  Returns 0 when k < 0 or k > n.
     """
     if k < 0 or k > n:
         return {}
-    if k == 0 or k == n:
-        return dict(ONE)
-    key = (n, k)
-    got = _QBIN_CACHE.get(key)
-    if got is None:
-        got = add(q_binomial(n - 1, k - 1), monomial_shift(q_binomial(n - 1, k), k))
-        _QBIN_CACHE[key] = got
-    return dict(got)
+    k = min(k, n - k)  # [n choose k] = [n choose n-k]
+    row: list[Laurent] = [dict(ONE)] + [{} for _ in range(k)]
+    for i in range(1, n + 1):
+        # [i choose j] = [i-1 choose j] + q^(i-j) [i-1 choose j-1], in place
+        for j in range(min(i, k), 0, -1):
+            cur, shift = row[j], i - j
+            for e, c in row[j - 1].items():
+                cur[e + shift] = cur.get(e + shift, 0) + c
+    return row[k]
 
 
 def div_exact(p: Laurent, d: Laurent) -> Laurent:

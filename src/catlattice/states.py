@@ -21,8 +21,11 @@ the points in :func:`boundary_points` order (T1..Tn_t, R1..Rm, Bn_b..B1,
 Lm..L1, positions 0..N-1), the position of each point's partner, the pair
 at each position, each arc's side-walk levels, the census and the
 crossing count of every cut line.  It is built once per connection and
-cached.  A cut line is a stretch [a, b) of the clockwise order, and the
-arcs it crosses are the arcs with exactly one end in the stretch.
+cached.  The left and right side walks are the clockwise order cut at the
+right and the left side, so an arc has a side-walk level only where its
+ends are clockwise neighbours.  A cut line is a stretch [a, b) of the
+clockwise order, and the arcs it crosses are the arcs with exactly one
+end in the stretch.
 Horizontal cut i (below L_i and R_i) is the stretch [n_t+i, n_t+2m+n_b-i)
 -- everything under the line -- and vertical cut j (right of T_j and B_j)
 is [j, 2n+m-j).
@@ -327,7 +330,13 @@ def view(C: Connection) -> BoundaryView:
         pair[a] = pair[b] = r
     levels = vertical = None
     if C.is_catalan:
-        levels = tuple(tuple(_adjacent_descriptions(pr, m, n_t)) for pr in C.pairs)
+        # an arc has a level only where its ends are clockwise neighbours
+        step, N = _side_walks(m, n_t)[2], len(points)
+        found = [()] * len(C.pairs)
+        for k in range(N):
+            if mate[k] == (k + 1) % N:
+                found[pair[k]] = step[k]
+        levels = tuple(found)
         vertical = _cut_counts(mate, *_cut(C, "vertical", 0), n_t)
     kinds = [p[0] + q[0] for p, q in C.pairs]  # canonical pairs list a T end first
     census = StateClass(*(kinds.count(k) for k in ("TT", "BB", "LL", "RR", "TB")))
@@ -602,40 +611,32 @@ def extended_labels(C: Connection, c) -> tuple[int, int]:
         raise ValueError("arc has no extended labels")
     x = {"L": 0, "R": n + 1}
     p, q = sorted(c, key=lambda pt: x.get(pt[0], pt[1]))
-    return _left_walk(p, m, n), _right_walk(q, m, n)
+    left, right, _ = _side_walks(m, n)
+    pos = view(C).pos
+    return left[pos[p]], right[pos[q]]
 
 
-def _left_walk(p: Point, m: int, n: int) -> Optional[int]:
-    """Index of p on the extended left-side walk, None for right points."""
-    side, i = p
-    if side == "T":
-        return 1 - i
-    if side == "L":
-        return i
-    if side == "B":
-        return m + i
-    return None
+@lru_cache(maxsize=256)
+def _side_walks(m: int, n: int) -> tuple[list, list, list]:
+    """Side-walk data of Cat(m,n) by clockwise position k (read only).
 
-
-def _right_walk(p: Point, m: int, n: int) -> Optional[int]:
-    side, i = p
-    if side == "T":
-        return i - n
-    if side == "R":
-        return i
-    if side == "B":
-        return m + n + 1 - i
-    return None
-
-
-def _adjacent_descriptions(c: Pair, m: int, n: int) -> set[int]:
-    """Walk indices j such that c joins consecutive slots j, j+1 of a side walk."""
-    out: set[int] = set()
-    for walk in (_left_walk, _right_walk):
-        u, v = walk(c[0], m, n), walk(c[1], m, n)
-        if u is not None and v is not None and abs(u - v) == 1:
-            out.add(min(u, v))
-    return out
+    Each walk is the clockwise order cut at one vertical side, and has no
+    index (None) there.  The left walk (cut at R) numbers Tn..T1 from 1-n
+    to 0, then L1..Lm and B1..Bn from 1 to m+n; the right walk (cut at L)
+    numbers T1..Tn from 1-n to 0, then R1..Rm and Bn..B1 from 1 to m+n.
+    ``step[k]`` holds the levels of an arc joining k to k+1: the lower of
+    the two indices on each walk where they are consecutive (which drops
+    a walk's wrap across an empty side).
+    """
+    N = 2 * (m + n)
+    left = [-k if k < n else None if k < n + m else N - k for k in range(N)]
+    right = [k - n + 1 if k < 2 * n + m else None for k in range(N)]
+    step = []
+    for k in range(N):
+        ends = [(walk[k], walk[(k + 1) % N]) for walk in (left, right)]
+        js = {min(u, w) for u, w in ends if None not in (u, w) and abs(u - w) == 1}
+        step.append(tuple(js))
+    return left, right, step
 
 
 def _removable(C: Connection, candidates) -> list[Pair]:

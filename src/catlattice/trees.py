@@ -189,11 +189,6 @@ def pluck(t: Node, path: Path) -> Node:
         # node just lost its last child: it becomes a fresh leaf
         return Node((), 1)
 
-    def survived_as_leaf(node: Node) -> Node:
-        if not node.children:
-            return Node((), max(1, node.delay - 1))
-        return Node(tuple(survived_as_leaf(c) for c in node.children))
-
     stripped = rebuild(t, path)
     if stripped is None:
         return EMPTY

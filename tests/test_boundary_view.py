@@ -1,12 +1,13 @@
 """The clockwise boundary view against the definitions it replaced.
 
-Cut-line counts, the arc census, removable arcs, local families, the
-symmetries, the tau-shifts, arc removal, the tree of a state and extended
-labels are all read off one clockwise view of a state (``states.view``:
-its points in ``boundary_points`` order, each point's partner position,
-the side-walk levels, the census and the cut-line counts).  The functions
-below are the earlier direct definitions, kept literally as references: a
-region set per cut line, a census loop over the pairs, a token list with
+Cut-line counts, the arc census, side-walk levels, removable arcs, local
+families, the symmetries, the tau-shifts, arc removal, the tree of a state
+and extended labels are all read off one clockwise view of a state
+(``states.view``: its points in ``boundary_points`` order, each point's
+partner position, the side-walk levels, the census and the cut-line
+counts).  The functions below are the earlier direct definitions, kept
+literally as references: a region set per cut line, a census loop over
+the pairs, a point-by-point index on each side walk, a token list with
 corner sentinels for the two sides of an arc, a scan of every arc for
 every (start, length) boundary interval, a point map per side for the
 half turn, the quarter turn and the tau-shifts, arc removal through the
@@ -27,7 +28,6 @@ from catlattice import trees as T
 from catlattice.states import (
     Connection,
     Point,
-    _adjacent_descriptions,
     _find_pair,
     boundary_points,
     classify,
@@ -79,6 +79,39 @@ def ref_classify(C):
     )
 
 
+def ref_left_walk(p: Point, m: int, n: int):
+    """Index of p on the extended left-side walk, None for right points."""
+    side, i = p
+    if side == "T":
+        return 1 - i
+    if side == "L":
+        return i
+    if side == "B":
+        return m + i
+    return None
+
+
+def ref_right_walk(p: Point, m: int, n: int):
+    side, i = p
+    if side == "T":
+        return i - n
+    if side == "R":
+        return i
+    if side == "B":
+        return m + n + 1 - i
+    return None
+
+
+def ref_adjacent_descriptions(c, m: int, n: int) -> set[int]:
+    """Walk indices j such that c joins consecutive slots j, j+1 of a side walk."""
+    out: set[int] = set()
+    for walk in (ref_left_walk, ref_right_walk):
+        u, v = walk(c[0], m, n), walk(c[1], m, n)
+        if u is not None and v is not None and abs(u - v) == 1:
+            out.add(min(u, v))
+    return out
+
+
 def ref_two_sides(C, c):
     n = C.n
     tokens = [("T", i) for i in range(1, n + 1)]
@@ -116,7 +149,7 @@ def ref_is_removable(C, c):
         if arc == c:
             continue
         bucket = top_side if arc[0] in A1 else bottom_side
-        bucket.extend(_adjacent_descriptions(arc, m, n))
+        bucket.extend(ref_adjacent_descriptions(arc, m, n))
     return max(top_side) <= min(bottom_side) - 1
 
 
@@ -125,7 +158,7 @@ def ref_vertical_factorizations(C):
     pts = boundary_points(m, n, n)
     N = len(pts)
     total_arcs = len(C.pairs)
-    outside_js = {arc: _adjacent_descriptions(arc, m, n) for arc in C.pairs}
+    outside_js = {arc: ref_adjacent_descriptions(arc, m, n) for arc in C.pairs}
     out = []
     for start in range(N):
         for length in range(4, N, 2):
@@ -440,6 +473,9 @@ def check_cuts_and_census(C):
 def check_state(C, each_arc=True):
     m, n = C.m, C.n
     check_cuts_and_census(C)
+    assert [set(js) for js in S.view(C).levels] == [
+        ref_adjacent_descriptions(arc, m, n) for arc in C.pairs
+    ], S.render_state(C)
     assert S.is_realizable(C) == ref_is_realizable(C), S.render_state(C)
     removable = [arc for arc in C.pairs if ref_is_removable(C, arc)]
     assert S.find_removable_arcs(C) == removable, S.render_state(C)
@@ -527,6 +563,10 @@ def test_plucking_memo_is_bounded():
 
 def test_view_cache_is_bounded():
     assert S.view.cache_info().maxsize is not None
+
+
+def test_side_walk_cache_is_bounded():
+    assert S._side_walks.cache_info().maxsize is not None
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """The coefficient engine: strategy pipeline, traces, and closed forms."""
 
 import importlib.util
+import random
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from catlattice import kauffman as K
 from catlattice import laurent as L
 from catlattice import samples
 from catlattice import states as S
+from test_boundary_view import random_state
 
 
 def product_of_factors(trace):
@@ -138,6 +140,24 @@ def test_engine_matches_oracle(m, n):
         value, trace = E.coefficient(C)
         assert value == K.oracle_coefficient(C), S.render_state(C)
         assert product_of_factors(trace) == value, S.render_state(C)
+
+
+def test_engine_matches_pruned_fold_on_random_states():
+    # past the exhaustive mn <= 9 sweeps: the pruned fold is the reference
+    rng = random.Random(20261018)
+    compared = 0
+    for m, n in ((5, 6), (6, 6), (7, 7)):
+        for _ in range(80):
+            C = random_state(rng, m, n)
+            if not S.is_realizable(C):
+                continue
+            try:
+                value, _ = E.coefficient(C)
+            except K.BudgetError:
+                continue
+            assert value == K.bracket_coefficient_at(C), S.render_state(C)
+            compared += 1
+    assert compared >= 50
 
 
 def test_budget_error_when_no_reduction_applies():

@@ -90,22 +90,34 @@ def test_bracket_table_total_weight():
 
 
 def test_oracle_coefficient_and_cache(monkeypatch):
-    monkeypatch.setattr(K, "_TABLE_CACHE", {})
+    K._shape_fold.cache_clear()
     built = []
-    fold = K.bracket_table
+    fold = K._fold
 
-    def counting(m, n, budget_bits=None):
+    def counting(m, n, allowed=None):
         built.append((m, n))
-        return fold(m, n, budget_bits)
+        return fold(m, n, allowed)
 
-    monkeypatch.setattr(K, "bracket_table", counting)
+    monkeypatch.setattr(K, "_fold", counting)
     C = S.parse_state("cat(2,2): T1-L1, T2-R1, L2-B1, R2-B2")
     assert L.render(K.oracle_coefficient(C)) == "A^-2 + A^2"
     assert L.render(K.oracle_coefficient(C)) == "A^-2 + A^2"
-    assert built == [(2, 2)]  # the second call reads the cached table
+    assert built == [(2, 2)]  # the second call reads the cached fold
     # unrealizable states get the zero polynomial
     X = S.parse_state("cat(1,2): T1-T2, L1-R1, B1-B2")
     assert K.oracle_coefficient(X) == L.ZERO
+
+
+def test_oracle_matches_the_table():
+    # every state, realizable or not, including the trivial shapes
+    for m, n in [(0, 2), (2, 0), (1, 3), (2, 3), (3, 2), (3, 3)]:
+        table = K.bracket_table(m, n)
+        for C in S.enumerate_catalan(m, n):
+            assert K.oracle_coefficient(C) == table.get(C, L.ZERO), (m, n, C)
+
+
+def test_shape_fold_cache_is_bounded():
+    assert K._shape_fold.cache_info().maxsize is not None
 
 
 def test_budget_guard():

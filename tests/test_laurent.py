@@ -1,5 +1,6 @@
 """Exact Laurent arithmetic over the integers."""
 
+import math
 import random
 
 import pytest
@@ -91,6 +92,13 @@ def test_q_binomial_recurrences():
             import math
 
             assert sum(b.values()) == math.comb(n, k)
+
+
+def test_q_binomial_of_a_long_row():
+    # the triangle is walked row by row, so a long row needs no recursion
+    b = L.q_binomial(3000, 3)
+    assert sum(b.values()) == math.comb(3000, 3)
+    assert L.max_degree(b) == 3 * 2997
 
 
 def test_q_binomial_returns_copies():
