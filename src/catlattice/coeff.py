@@ -33,13 +33,14 @@ from .maxseq import beta
 from .states import (
     Connection,
     Pair,
+    _from_mate,
     _point_text,
+    _rainbow,
     classify,
     extended_labels,
     find_removable_arcs,
     is_realizable,
     is_vertically_decomposable,
-    new_connection,
     remove_arc,
     rotate_pi,
     split_at,
@@ -109,7 +110,7 @@ def iter_vertical_factorizations(C: Connection) -> Iterator[LocalFamily]:
     """
     m, N = C.m, 2 * (C.m + C.n)
     v = view(C)
-    pts, mate, levels = v.points, v.mate, v.levels
+    pts, mate, levels = v.points, C.mate, v.levels
     for start in range(N):
         inside, sides, length = set(), set(), 0
         while True:
@@ -147,29 +148,17 @@ def vertical_factor_parts(
 
     The first part re-homes the family in a lam x 2*lam rectangle: the top
     edge carries the family's arch pattern, every bottom point routes to
-    the nearest side point.  The second part is C with the family replaced
-    by the nested rainbow on its interval.
+    the nearest side point: B_i to L_(lam+1-i) and B_(lam+i) to R_i, the
+    rainbows on clockwise positions [2lam, 4lam) and [4lam, 6lam).  The
+    second part is C with the family replaced by the nested rainbow on its
+    interval.
     """
-    m, n = C.m, C.n
-    pts = view(C).points
-    N = len(pts)
-    interval = [pts[(fam.start + k) % N] for k in range(fam.length)]
-    lam = fam.length // 2
-
-    # rainbow replacement
-    lam_set = {frozenset(arc) for arc in fam.arcs}
-    kept = [arc for arc in C.pairs if frozenset(arc) not in lam_set]
-    rainbow = [(interval[k], interval[fam.length - 1 - k]) for k in range(lam)]
-    C_lam = new_connection(m, n, n, kept + rainbow)
-
-    # side-anchored companion state on the family's own rectangle
-    top_index = {p: k + 1 for k, p in enumerate(interval)}
-    pattern = [
-        (("T", top_index[p]), ("T", top_index[q])) for p, q in fam.arcs
-    ]
-    wiring = [(("B", i), ("L", lam + 1 - i)) for i in range(1, lam + 1)]
-    wiring += [(("B", lam + i), ("R", i)) for i in range(1, lam + 1)]
-    C_T = new_connection(lam, 2 * lam, 2 * lam, pattern + wiring)
+    start, length, N = fam.start, fam.length, len(C.mate)
+    lam = length // 2
+    C_lam = _from_mate(C.m, C.n, C.n, _rainbow(C.mate, start, length))
+    top = [(C.mate[(start + k) % N] - start) % N for k in range(length)]
+    wired = _rainbow(top + [0] * (2 * length), length, length)
+    C_T = _from_mate(lam, length, length, _rainbow(wired, 2 * length, length))
     return C_T, C_lam
 
 
@@ -247,10 +236,8 @@ def _reduce(C, trace, seen, budget_bits) -> Laurent:
             )
         )
         return mul(factor, _reduce(reduced, trace, seen, budget_bits))
-    mate = view(C).mate
     for fam in iter_vertical_factorizations(C):
-        ks = [(fam.start + k) % len(mate) for k in range(fam.length)]
-        if [mate[k] for k in ks] == ks[::-1]:
+        if _rainbow(C.mate, fam.start, fam.length) == C.mate:
             continue  # the family already is the rainbow, so C_lam == C
         C_T, C_lam = vertical_factor_parts(C, fam)
         if C_lam in seen:

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .laurent import Laurent, ONE, ZERO, add, monomial, monomial_shift, mul
-from .states import Connection, Point, new_connection
+from .states import Connection, Point, _from_mate, boundary_points, new_connection
 
 MarkerGrid = tuple[tuple[int, ...], ...]
 
@@ -245,16 +245,13 @@ def bracket_table(m: int, n: int, budget_bits=None) -> dict[Connection, Laurent]
     with enumeration.  Each final frontier becomes one Connection.
     """
     _check_budget(m, n, budget_bits)
-    points = _points(m, n)
+    codes, where = _codes(m, n)
     table: dict[Connection, Laurent] = {}
     for (cols, frozen), w in _fold(m, n).items():
-        pairs = [(points[-1 - a], points[-1 - b]) for a, b in frozen]
-        for j, v in enumerate(cols):
-            if v < 0:
-                pairs.append((points[-1 - v], ("B", j + 1)))
-            elif v > j:
-                pairs.append((("B", j + 1), ("B", v + 1)))
-        table[new_connection(m, n, n, pairs)] = w
+        mate = [0] * len(codes)
+        for a, b in frozen + tuple(enumerate(cols)):
+            mate[where[a]], mate[where[b]] = where[b], where[a]
+        table[_from_mate(m, n, n, mate)] = w
     return table
 
 
@@ -283,18 +280,26 @@ def bracket_table_by_enumeration(
     return table
 
 
+@lru_cache(maxsize=64)
+def _codes(m: int, n: int) -> tuple[tuple[int, ...], dict[int, int]]:
+    """Fold code of each clockwise position of Cat(m, n) -- ``-1 - k`` for
+    ``_points(m, n)[k]``, column j - 1 for B_j -- and the position of each
+    code (read only)."""
+    code = {p: -1 - k for k, p in enumerate(_points(m, n))}
+    codes = tuple(code.get(p, p[1] - 1) for p in boundary_points(m, n, n))
+    return codes, {c: k for k, c in enumerate(codes)}
+
+
 def _frontier_key(C: Connection) -> tuple[tuple[int, ...], tuple]:
     """C as a final frontier key of ``_fold(C.m, C.n)``: (columns, frozen)."""
-    code = {p: -1 - k for k, p in enumerate(_points(C.m, C.n))}
+    codes = _codes(C.m, C.n)[0]
     cols = [0] * C.n
     frozen = []
-    for p, q in C.pairs:
-        if q[0] == "B" and p[0] == "B":
-            cols[p[1] - 1], cols[q[1] - 1] = q[1] - 1, p[1] - 1
-        elif q[0] == "B":
-            cols[q[1] - 1] = code[p]
-        else:
-            a, b = code[p], code[q]
+    for k, j in enumerate(C.mate):
+        a, b = codes[k], codes[j]
+        if a >= 0:
+            cols[a] = b
+        elif b < 0 and k < j:
             frozen.append((a, b) if a < b else (b, a))
     return tuple(cols), tuple(sorted(frozen))
 

@@ -14,36 +14,37 @@ Points are written T<i>, B<i>, L<i>, R<i>; pairs are listed in reading
 order (top, left, right, then bottom points, index ascending), with the
 earlier endpoint of each pair written first.
 
+A connection is its shape plus ``mate``: ``mate[k]`` is the position of
+the partner of the point at position k of :func:`boundary_points` order
+(T1..Tn_t, R1..Rm, Bn_b..B1, Lm..L1, positions 0..N-1).  The pairs are
+derived from it.  Every connection goes through :func:`_from_mate`, which
+checks ``mate``; :func:`new_connection` maps outside pairs to positions.
+
 Boundary questions -- cut lines, the arc census, removable arcs, local
-families, the tree of a state -- are asked of one clockwise view,
-:func:`view`, the one place the boundary encoding is read off the pairs:
-the points in :func:`boundary_points` order (T1..Tn_t, R1..Rm, Bn_b..B1,
-Lm..L1, positions 0..N-1), the position of each point's partner, the pair
-at each position, each arc's side-walk levels, the census and the
-crossing count of every cut line.  It is built once per connection and
-cached.  The left and right side walks are the clockwise order cut at the
-right and the left side, so an arc has a side-walk level only where its
-ends are clockwise neighbours.  A cut line is a stretch [a, b) of the
-clockwise order, and the arcs it crosses are the arcs with exactly one
-end in the stretch.
+families, the tree of a state -- read ``mate`` and one cached view,
+:func:`view`: each position's pair, each arc's side-walk levels, the
+census and the crossing count of every cut line.  The left and right
+side walks are the clockwise order cut at the right and the left side,
+so an arc has a side-walk level only where its ends are clockwise
+neighbours.  A cut line is a stretch [a, b) of the clockwise order, and
+the arcs it crosses are the arcs with exactly one end in the stretch.
 Horizontal cut i (below L_i and R_i) is the stretch [n_t+i, n_t+2m+n_b-i)
 -- everything under the line -- and vertical cut j (right of T_j and B_j)
 is [j, 2n+m-j).
 
-Symmetries, tau-shifts and arc removal are relabellings of the same view.
+Symmetries, tau-shifts and arc removal are relabellings of positions.
 The half turn, the quarter turn and the tau-shifts keep the clockwise
 order of the points, and arc removal keeps it for the points it leaves:
 each reads the clockwise word from some position, skips the removed arc,
-if any, and lays the rest onto the boundary of a rectangle of a new shape
-(:func:`_relabel`).  The reflection is the one map that reverses the
-order, so it keeps its own point map.
+if any, and lays the rest onto the positions of a new shape
+(:func:`_relabel`).  The reflection reverses the order.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple, Optional
 
 Point = tuple[str, int]
@@ -71,20 +72,30 @@ K0 = _Zero()
 class Connection:
     """A noncrossing perfect matching of grid boundary points.
 
-    Build through :func:`new_connection`, which validates and canonicalizes;
-    the constructor itself trusts its arguments.
+    Build through :func:`new_connection` (pairs of points) or
+    :func:`_from_mate` (positions), which validate; the constructor itself
+    trusts its arguments.
 
     Attributes:
         m: number of rows (points per vertical side).
         n_t: top width.
         n_b: bottom width.
-        pairs: canonically ordered matched pairs.
+        mate: ``mate[k]`` is the clockwise position of the partner of the
+            point at position k of ``boundary_points(m, n_t, n_b)``.
     """
 
     m: int
     n_t: int
     n_b: int
-    pairs: tuple[Pair, ...]
+    mate: tuple[int, ...]
+
+    @cached_property
+    def pairs(self) -> tuple[Pair, ...]:
+        """The matched pairs in reading order (top, left, right, then
+        bottom points, index ascending), the earlier end of each first."""
+        points, _, rank, order = _shape(self.m, self.n_t, self.n_b)
+        ends = ((k, self.mate[k]) for k in order)
+        return tuple((points[k], points[j]) for k, j in ends if rank[k] < rank[j])
 
     @property
     def n(self) -> int:
@@ -126,14 +137,45 @@ def _rank(p: Point) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=256)
-def _shape(m: int, n_t: int, n_b: int) -> tuple[tuple[Point, ...], dict[Point, int]]:
-    """A shape's points in clockwise order and each point's position (read only)."""
+def _shape(m: int, n_t: int, n_b: int) -> tuple:
+    """A shape's points in clockwise order, each point's position, the
+    reading rank of each position, and the positions in reading order
+    (read only)."""
     points = tuple(boundary_points(m, n_t, n_b))
-    return points, {p: k for k, p in enumerate(points)}
+    rank = tuple(_rank(p) for p in points)
+    order = tuple(sorted(range(len(points)), key=rank.__getitem__))
+    return points, {p: k for k, p in enumerate(points)}, rank, order
+
+
+def _from_mate(m: int, n_t: int, n_b: int, mate) -> Connection:
+    """The connection of an (m, n_t, n_b) shape with clockwise partner array
+    ``mate``; raises ValueError unless ``mate`` is a noncrossing
+    fixed-point-free involution of the shape's positions."""
+    mate = tuple(mate)
+    N = 2 * m + n_t + n_b
+    # arcs nest iff each closing end meets the innermost open one
+    stack: list[int] = []
+    for k, j in enumerate(mate):
+        if j > k:
+            stack.append(k)
+        elif not stack or stack.pop() != j or mate[j] != k:
+            break
+    else:
+        if len(mate) == N and not stack:
+            return Connection(m, n_t, n_b, mate)
+    if len(mate) != N or any(
+        not 0 <= j < N or j == k or mate[j] != k for k, j in enumerate(mate)
+    ):
+        raise ValueError(f"not a perfect matching of the {N} boundary points")
+    # name the crossing with the first left end, as a scan would
+    a, c = next((a, c) for a in range(N) for c in range(a + 1, mate[a])
+                if mate[c] > mate[a])
+    t = [_point_text(p) for p in _shape(m, n_t, n_b)[0]]
+    raise ValueError(f"crossing pair {t[a]}-{t[mate[a]]} / {t[c]}-{t[mate[c]]}")
 
 
 def new_connection(m: int, n_t: int, n_b: int, pairs) -> Connection:
-    """Validate and canonicalize a set of pairs into a Connection.
+    """Validate a set of pairs of points and build their Connection.
 
     Args:
         m: rows; n_t / n_b: top and bottom widths.
@@ -145,42 +187,20 @@ def new_connection(m: int, n_t: int, n_b: int, pairs) -> Connection:
     """
     if min(m, n_t, n_b) < 0:
         raise ValueError(f"negative grid size in ({m}, {n_t}, {n_b})")
-    points, pos = _shape(m, n_t, n_b)
-    seen: set[Point] = set()
-    arcs: list[tuple[int, int, Pair]] = []
-    for raw in pairs:
-        p, q = raw
+    points, pos = _shape(m, n_t, n_b)[:2]
+    mate = [-1] * len(points)
+    for p, q in pairs:
         for pt in (p, q):
             if pt not in pos:
                 raise ValueError(f"unknown point {_point_text(pt)}")
-            if pt in seen:
+            if mate[pos[pt]] >= 0:
                 raise ValueError(f"duplicate point {_point_text(pt)}")
-            seen.add(pt)
-        a, b = pos[p], pos[q]
-        if a > b:
-            p, q, a, b = q, p, b, a
-        arcs.append((a, b, (p, q)))
-    if len(seen) != len(pos):
-        missing = next(pt for pt in points if pt not in seen)
+            mate[pos[pt]] = pos[pt]  # seen; the partner comes next
+        mate[pos[p]], mate[pos[q]] = pos[q], pos[p]
+    if -1 in mate:
+        missing = points[mate.index(-1)]
         raise ValueError(f"unmatched point {_point_text(missing)}")
-    arcs.sort()
-    for i, (a1, b1, pr1) in enumerate(arcs):
-        for a2, b2, pr2 in arcs[i + 1 :]:
-            if a2 > b1:
-                break
-            # a1 < a2 by sort; crossing iff the second arc straddles b1
-            if a2 < b1 < b2:
-                raise ValueError(
-                    f"crossing pair {_point_text(pr1[0])}-{_point_text(pr1[1])} / "
-                    f"{_point_text(pr2[0])}-{_point_text(pr2[1])}"
-                )
-    canon = []
-    for _, _, (p, q) in arcs:
-        if _rank(q) < _rank(p):
-            p, q = q, p
-        canon.append((p, q))
-    canon.sort(key=lambda pr: _rank(pr[0]))
-    return Connection(m, n_t, n_b, tuple(canon))
+    return _from_mate(m, n_t, n_b, mate)
 
 
 def render_state(C: Connection) -> str:
@@ -267,19 +287,18 @@ class StateClass(NamedTuple):
 
 
 class BoundaryView(NamedTuple):
-    """Boundary data of one connection (see :func:`view`).
+    """Boundary data of one connection beyond its ``mate`` (see :func:`view`).
 
     ``points`` and ``pos`` are shared by every connection of one shape.
-    ``mate[k]`` is the position of the partner of the point at k, ``pair[k]``
-    the index of its pair in ``C.pairs``, ``levels[r]`` the side-walk
-    levels of pair r, and ``horizontal[i]`` and ``vertical[j]`` count the
-    arcs crossing cut lines i and j.  ``levels`` and ``vertical`` are None
-    unless the connection is a Catalan state.
+    ``pair[k]`` is the index in ``C.pairs`` of the pair at clockwise
+    position k, ``levels[r]`` the side-walk levels of pair r, and
+    ``horizontal[i]`` and ``vertical[j]`` count the arcs crossing cut lines
+    i and j.  ``levels`` and ``vertical`` are None unless the connection is
+    a Catalan state.
     """
 
     points: tuple[Point, ...]
     pos: dict[Point, int]
-    mate: tuple[int, ...]
     pair: tuple[int, ...]
     levels: Optional[tuple[tuple[int, ...], ...]]
     census: StateClass
@@ -301,7 +320,7 @@ def _cut(C: Connection, orientation: str, i: int) -> tuple[int, int]:
     raise ValueError(f"unknown orientation {orientation!r}")
 
 
-def _cut_counts(mate: list[int], a: int, b: int, lines: int) -> tuple[int, ...]:
+def _cut_counts(mate: tuple[int, ...], a: int, b: int, lines: int) -> tuple[int, ...]:
     """Arcs with exactly one end in each stretch [a+i, b-i), i = 0..lines.
 
     Dropping an end point from the stretch turns its arc from crossing
@@ -320,14 +339,11 @@ def _cut_counts(mate: list[int], a: int, b: int, lines: int) -> tuple[int, ...]:
 @lru_cache(maxsize=128)
 def view(C: Connection) -> BoundaryView:
     """The clockwise boundary view of C (shared between callers, so read only)."""
-    m, n_t = C.m, C.n_t
-    points, pos = _shape(m, n_t, C.n_b)
-    mate = [0] * len(points)
+    m, n_t, mate = C.m, C.n_t, C.mate
+    points, pos = _shape(m, n_t, C.n_b)[:2]
     pair = [0] * len(points)
     for r, (p, q) in enumerate(C.pairs):
-        a, b = pos[p], pos[q]
-        mate[a], mate[b] = b, a
-        pair[a] = pair[b] = r
+        pair[pos[p]] = pair[pos[q]] = r
     levels = vertical = None
     if C.is_catalan:
         # an arc has a level only where its ends are clockwise neighbours
@@ -342,7 +358,7 @@ def view(C: Connection) -> BoundaryView:
     census = StateClass(*(kinds.count(k) for k in ("TT", "BB", "LL", "RR", "TB")))
     horizontal = _cut_counts(mate, *_cut(C, "horizontal", 0), m)
     return BoundaryView(
-        points, pos, tuple(mate), tuple(pair), levels, census, horizontal, vertical
+        points, pos, tuple(pair), levels, census, horizontal, vertical
     )
 
 
@@ -387,23 +403,6 @@ def is_proper_arc(C: Connection, c: Pair) -> bool:
 # -- symmetries ---------------------------------------------------------
 
 
-@lru_cache(maxsize=1024)
-def _relabelling(
-    shape: tuple[int, int, int],
-    start: int,
-    target: tuple[int, int, int],
-    at: int,
-    drop: tuple[int, ...],
-) -> dict[Point, Point]:
-    """Point map of :func:`_relabel`, one per distinct set of arguments
-    (shared between callers, so read only)."""
-    source, image = boundary_points(*shape), boundary_points(*target)
-    N = len(source)
-    word = [(start + j) % N for j in range(N)]
-    word = [k for k in word if k not in drop]
-    return {source[k]: image[(at + j) % len(image)] for j, k in enumerate(word)}
-
-
 def _relabel(
     C: Connection,
     start: int,
@@ -413,16 +412,32 @@ def _relabel(
     at: int = 0,
     drop: tuple[int, ...] = (),
 ) -> Connection:
-    """Lay C's clockwise word onto the boundary of an (m, n_t, n_b) piece.
+    """Lay C's clockwise word onto the positions of an (m, n_t, n_b) piece.
 
     The word is read from clockwise position ``start``, skipping the
-    positions in ``drop`` (the ends of whole arcs), and its points go to
-    ``boundary_points(m, n_t, n_b)`` from position ``at`` on.  The order
-    is kept, so arcs stay noncrossing; the result is still built through
-    :func:`new_connection`.
+    positions in ``drop`` (the ends of whole arcs), and goes to the new
+    piece's positions from ``at`` on.  The order is kept, so arcs stay
+    noncrossing; the result is still checked by :func:`_from_mate`.
     """
-    f = _relabelling((C.m, C.n_t, C.n_b), start, (m, n_t, n_b), at, drop)
-    return new_connection(m, n_t, n_b, [(f[p], f[q]) for p, q in C.pairs if p in f])
+    N = len(C.mate)
+    word = [k % N for k in range(start, start + N) if k % N not in drop]
+    new = [0] * N  # old position -> new position
+    for j, k in enumerate(word):
+        new[k] = (at + j) % len(word)
+    mate = [0] * len(word)
+    for k in word:
+        mate[new[k]] = new[C.mate[k]]
+    return _from_mate(m, n_t, n_b, mate)
+
+
+def _rainbow(mate, start: int, length: int) -> tuple[int, ...]:
+    """``mate`` with the clockwise interval [start, start + length) re-matched
+    as nested arches, the outermost joining its two ends."""
+    N = len(mate)
+    out = list(mate)
+    for k in range(length):
+        out[(start + k) % N] = (start + length - 1 - k) % N
+    return tuple(out)
 
 
 def rotate_pi(C: Connection) -> Connection:
@@ -431,17 +446,13 @@ def rotate_pi(C: Connection) -> Connection:
 
 
 def reflect(C: Connection) -> Connection:
-    """Reflect across the vertical axis (an involution)."""
-
-    def f(p: Point) -> Point:
-        side, i = p
-        if side == "T":
-            return ("T", C.n_t + 1 - i)
-        if side == "B":
-            return ("B", C.n_b + 1 - i)
-        return ("R" if side == "L" else "L", i)
-
-    return new_connection(C.m, C.n_t, C.n_b, [(f(p), f(q)) for p, q in C.pairs])
+    """Reflect across the vertical axis (an involution): the clockwise order
+    reverses, position k going to n_t - 1 - k."""
+    N = len(C.mate)
+    mate = [0] * N
+    for k, j in enumerate(C.mate):
+        mate[(C.n_t - 1 - k) % N] = (C.n_t - 1 - j) % N
+    return _from_mate(C.m, C.n_t, C.n_b, mate)
 
 
 def rotate_quarter(C: Connection) -> Connection:
@@ -461,67 +472,41 @@ def glue_vertical(C1: Connection, C2: Connection) -> tuple[Connection, int]:
     """
     if C1.n_b != C2.n_t:
         raise ValueError("widths do not match")
-    partner = {}
-    for tag, conn in ((1, C1), (2, C2)):
-        for p, q in conn.pairs:
-            partner[(tag, p)] = (tag, q)
-            partner[(tag, q)] = (tag, p)
-
-    def inner(pt: Point):
-        """Product boundary point -> node of the piece that owns it."""
-        side, i = pt
-        if side == "T":
-            return (1, pt)
-        if side == "B":
-            return (2, pt)
-        if i <= C1.m:
-            return (1, pt)
-        return (2, (side, i - C1.m))
-
-    def outer(node) -> Optional[Point]:
-        """Node -> product boundary point, or None on the glued interface."""
-        tag, (side, i) = node
-        if tag == 1 and side == "B":
-            return None
-        if tag == 2 and side == "T":
-            return None
-        if tag == 2 and side in ("L", "R"):
-            return (side, C1.m + i)
-        return (side, i)
-
-    def across(node):
-        tag, (side, i) = node
-        return (2, ("T", i)) if tag == 1 else (1, ("B", i))
-
-    m = C1.m + C2.m
-    done: set[Point] = set()
+    m1, m2, n_t, w, n_b = C1.m, C2.m, C1.n_t, C1.n_b, C2.n_b
+    a, N = n_t + m1, n_t + 2 * (m1 + m2) + n_b
+    # each piece's positions on the product, None on the interface: C1's T
+    # and R keep theirs and its L close the word, C2's R, B and L follow
+    # C1's R.  C1's B_i (at a + w - i) meets C2's T_i (at i - 1), so an
+    # interface node j faces a + w - 1 - j in the other piece.
+    outer = (
+        [*range(a), *[None] * w, *range(N - m1, N)],
+        [*[None] * w, *range(a, N - m1)],
+    )
+    mates = (C1.mate, C2.mate)
     touched = set()
-    pairs: list[Pair] = []
-    for start in boundary_points(m, C1.n_t, C2.n_b):
-        if start in done:
-            continue
-        node = partner[inner(start)]
-        while outer(node) is None:
-            touched.add(node)
-            hop = across(node)
-            touched.add(hop)
-            node = partner[hop]
-        end = outer(node)
-        done.add(start)
-        done.add(end)
-        pairs.append((start, end))
+
+    def walk(t: int, j: int) -> tuple[int, int]:
+        """Follow a strand from node (t, j) of piece t through the interface
+        to a product point, or round a loop back to a node passed before."""
+        while outer[t][j] is None and (t, j) not in touched:
+            touched.add((t, j))
+            t, j = 1 - t, a + w - 1 - j
+            touched.add((t, j))
+            j = mates[t][j]
+        return t, j
+
+    mate = [-1] * N
+    for t in (0, 1):
+        for k, p in enumerate(outer[t]):
+            if p is not None and mate[p] < 0:
+                end, j = walk(t, mates[t][k])
+                mate[p], mate[outer[end][j]] = outer[end][j], p
     loops = 0
-    for node in partner:
-        if outer(node) is not None or node in touched:
-            continue
-        loops += 1
-        cur = node
-        while cur not in touched:
-            touched.add(cur)
-            hop = across(cur)
-            touched.add(hop)
-            cur = partner[hop]
-    return new_connection(m, C1.n_t, C2.n_b, pairs), loops
+    for j in range(a, a + w):
+        if (0, j) not in touched:
+            loops += 1
+            walk(0, j)
+    return _from_mate(m1 + m2, n_t, n_b, mate), loops
 
 
 def vertical_product(C1, C2):
@@ -703,27 +688,22 @@ def split_at(C: Connection, i: int) -> tuple[Connection, Connection]:
     if line_intersections(C, "horizontal", i) != n:
         raise ValueError("line is not saturating")
     a, b = _cut(C, "horizontal", i)
-    v = view(C)
-    N = len(v.points)
-
-    def lower_point(p: Point) -> Point:
-        side, k = p
-        return p if side == "B" else (side, k - i)
-
-    upper_pairs, lower_pairs = [], []
-    for p, q in C.pairs:
-        below = (a <= v.pos[p] < b) + (a <= v.pos[q] < b)
-        if below == 0:
-            upper_pairs.append((p, q))
-        elif below == 2:
-            lower_pairs.append((lower_point(p), lower_point(q)))
+    mate, N = C.mate, len(C.mate)
+    # above the line T1..Tn and R1..R_i keep their positions, Bn..B1 follow
+    # and L_i..L1 close the word; below it the stretch follows T1..Tn
+    up = [k if k < a else k - b + a + n for k in range(N)]
+    upper, lower = [0] * (N - b + a + n), [0] * (b - a + n)
     # the upper ends of the crossing arcs, read clockwise from L_i round to
     # R_i, meet B1..Bn above the line and T1..Tn below it
-    crossing = [k % N for k in range(b, N + a) if a <= v.mate[k % N] < b]
-    for j, k in enumerate(crossing, start=1):
-        upper_pairs.append((v.points[k], ("B", j)))
-        lower_pairs.append((("T", j), lower_point(v.points[v.mate[k]])))
-    return (
-        new_connection(i, n, n, upper_pairs),
-        new_connection(C.m - i, n, n, lower_pairs),
-    )
+    j = 0
+    for k in [*range(b, N), *range(a)]:
+        if a <= mate[k] < b:
+            upper[up[k]], upper[a + n - 1 - j] = a + n - 1 - j, up[k]
+            lower[mate[k] - a + n], lower[j] = j, mate[k] - a + n
+            j += 1
+        else:
+            upper[up[k]] = up[mate[k]]
+    for k in range(a, b):
+        if a <= mate[k] < b:
+            lower[k - a + n] = mate[k] - a + n
+    return _from_mate(i, n, n, upper), _from_mate(C.m - i, n, n, lower)

@@ -340,7 +340,7 @@ def tree_from_state(C) -> Node:
     if classify(C).bottom_returns:
         raise ValueError("state has bottom returns")
     m = C.m
-    points, mate = view(C).points, view(C).mate
+    points, mate = view(C).points, C.mate
     first, size = 2 * n + m, 2 * m + n  # L_m's clockwise position; word length
 
     # arches by word position of their left end, grouped into a nesting

@@ -64,3 +64,17 @@ def test_family_scan_is_an_iterator():
         3, 4, ((("T", 4), ("R", 1)), (("R", 2), ("B", 4)))
     )
     assert next(fams, None) is None
+
+
+def test_connection_attributes_the_workloads_read():
+    # bench/workloads.py reads these attributes of a Connection, and pairs
+    # of points by their side letters
+    C = states.parse_state("cat(2,2): T1-L1, T2-R1, L2-B1, R2-B2")
+    assert (C.m, C.n, C.n_t, C.n_b) == (2, 2, 2, 2)
+    assert C.pairs == (
+        (("T", 1), ("L", 1)),
+        (("T", 2), ("R", 1)),
+        (("L", 2), ("B", 1)),
+        (("R", 2), ("B", 2)),
+    )
+    assert isinstance(C.pairs, tuple)

@@ -15,6 +15,10 @@ half turn and the side-to-top shifts, the tree read off the fully shifted
 state, and one extended-label branch per pair of sides.  They are
 compared with the library on every state with m + n <= 8 and on seeded
 random states of Cat(5,6) and Cat(6,6).
+
+``ref_new_connection`` is the earlier validator over point pairs (a
+pairwise crossing scan and a sort by reading rank), compared with
+``new_connection`` on every perfect matching of up to ten boundary points.
 """
 
 import random
@@ -27,8 +31,12 @@ from catlattice import states as S
 from catlattice import trees as T
 from catlattice.states import (
     Connection,
+    Pair,
     Point,
     _find_pair,
+    _point_text,
+    _rank,
+    _shape,
     boundary_points,
     classify,
     is_proper_arc,
@@ -419,6 +427,52 @@ def ref_remove_arc(C, c):
     return ref_tau_shift(D2, -(C.m - 1)) if C.m > 1 else D2
 
 
+def ref_new_connection(m: int, n_t: int, n_b: int, pairs) -> tuple[Pair, ...]:
+    """Validate and canonicalize a set of pairs; returns the canonical pairs
+    (the earlier validator, kept literally but for its first and last line:
+    it reads two of ``_shape``'s fields and returns the pairs rather than a
+    Connection).
+    """
+    if min(m, n_t, n_b) < 0:
+        raise ValueError(f"negative grid size in ({m}, {n_t}, {n_b})")
+    points, pos = _shape(m, n_t, n_b)[:2]
+    seen: set[Point] = set()
+    arcs: list[tuple[int, int, Pair]] = []
+    for raw in pairs:
+        p, q = raw
+        for pt in (p, q):
+            if pt not in pos:
+                raise ValueError(f"unknown point {_point_text(pt)}")
+            if pt in seen:
+                raise ValueError(f"duplicate point {_point_text(pt)}")
+            seen.add(pt)
+        a, b = pos[p], pos[q]
+        if a > b:
+            p, q, a, b = q, p, b, a
+        arcs.append((a, b, (p, q)))
+    if len(seen) != len(pos):
+        missing = next(pt for pt in points if pt not in seen)
+        raise ValueError(f"unmatched point {_point_text(missing)}")
+    arcs.sort()
+    for i, (a1, b1, pr1) in enumerate(arcs):
+        for a2, b2, pr2 in arcs[i + 1 :]:
+            if a2 > b1:
+                break
+            # a1 < a2 by sort; crossing iff the second arc straddles b1
+            if a2 < b1 < b2:
+                raise ValueError(
+                    f"crossing pair {_point_text(pr1[0])}-{_point_text(pr1[1])} / "
+                    f"{_point_text(pr2[0])}-{_point_text(pr2[1])}"
+                )
+    canon = []
+    for _, _, (p, q) in arcs:
+        if _rank(q) < _rank(p):
+            p, q = q, p
+        canon.append((p, q))
+    canon.sort(key=lambda pr: _rank(pr[0]))
+    return tuple(canon)
+
+
 # -- inputs -----------------------------------------------------------------------
 
 
@@ -553,10 +607,6 @@ def test_random_states_at_cat_5_6_and_6_6():
     assert len(seen) > 300
 
 
-def test_relabelling_cache_is_bounded():
-    assert S._relabelling.cache_info().maxsize is not None
-
-
 def test_plucking_memo_is_bounded():
     assert T._plucking.cache_info().maxsize is not None
 
@@ -592,6 +642,71 @@ def test_one_coefficient_call_builds_each_view_once(monkeypatch, C, kind):
     assert kind in [step.kind for step in trace]
     assert C in asked
     assert cached.cache_info().misses == len(asked)
+
+
+def perfect_matchings(points):
+    """Every perfect matching of a list of points, crossings included."""
+    if not points:
+        yield []
+        return
+    first = points[0]
+    for k in range(1, len(points)):
+        rest = points[1:k] + points[k + 1 :]
+        for matching in perfect_matchings(rest):
+            yield [(first, points[k])] + matching
+
+
+def same_validation(shape, pairs):
+    """new_connection gives the reference's pairs or raises its error."""
+    try:
+        want = ref_new_connection(*shape, pairs)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            S.new_connection(*shape, pairs)
+        assert str(got.value) == str(err), (shape, pairs)
+        return None
+    C = S.new_connection(*shape, pairs)
+    assert C.pairs == want, (shape, pairs)
+    return C
+
+
+def test_validator_matches_the_pairwise_reference():
+    rng = random.Random(20261018)
+    built = crossing = 0
+    for size in range(0, 11):
+        for m in range(size // 2 + 1):
+            for n_t in range(size - 2 * m + 1):
+                shape = (m, n_t, size - 2 * m - n_t)
+                points = boundary_points(*shape)
+                if size % 2:
+                    # no perfect matching: one point stays unmatched
+                    pairs = list(zip(points[1::2], points[2::2]))
+                    same_validation(shape, pairs)
+                    continue
+                for pairs in perfect_matchings(points):
+                    C = same_validation(shape, pairs)
+                    if C is None:
+                        crossing += 1
+                        same_validation(shape, [(q, p) for p, q in pairs[::-1]])
+                        continue
+                    built += 1
+                    assert S._from_mate(*shape, C.mate) == C
+                    shuffled = [(q, p) if rng.random() < 0.5 else (p, q)
+                                for p, q in pairs]
+                    rng.shuffle(shuffled)
+                    D = same_validation(shape, shuffled)
+                    assert D == C and hash(D) == hash(C)
+                if size >= 2:
+                    # a self pair, an unknown point, and a missing pair
+                    p, q = points[0], points[-1]
+                    rest = list(zip(points[1::2], points[2::2]))
+                    same_validation(shape, [(p, p)] + rest)
+                    same_validation(shape, [(p, ("X", 1))])
+                    same_validation(shape, [(p, ("T", shape[1] + 1))])
+                    same_validation(shape, [(p, q)])
+                    same_validation(shape, [(p, q), (q, p)])
+    # a Catalan number of noncrossing matchings per shape, the rest cross
+    assert (built, crossing) == (1965, 34952)
 
 
 def test_removability_of_a_named_arc_form():

@@ -224,3 +224,26 @@ def test_nested_combs_match_recorded_values():
         value, trace = E.coefficient(C)
         assert L.render(value) == recorded[k], k
         assert any(step.kind == "tree-formula" for step in trace), k
+
+
+def test_width_three_closed_forms_past_m_five():
+    # past criterion 8's m <= 5: the pruned fold is the reference; draws the
+    # engine cannot finish within budget are counted and shown on failure
+    rng = random.Random(20261019)
+    stuck = []
+    for m in (6, 7, 8):
+        compared = 0
+        while compared < 40:
+            C = random_state(rng, m, 3)
+            if not S.is_realizable(C):
+                continue
+            try:
+                form = E.lm3_closed_form(C)
+            except K.BudgetError:
+                stuck.append(S.render_state(C))
+                continue
+            assert form.value() == K.bracket_coefficient_at(C), (
+                S.render_state(C), f"{len(stuck)} draws raised BudgetError", stuck
+            )
+            compared += 1
+    print(f"{len(stuck)} draws raised BudgetError", stuck)
