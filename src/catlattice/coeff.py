@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple, Optional
 
-from .kauffman import BudgetError, oracle_coefficient, _budget
+from .kauffman import BudgetError, bracket_coefficient_at, oracle_coefficient, _budget
 from .laurent import (
     Laurent,
     ONE,
@@ -106,38 +106,37 @@ def iter_vertical_factorizations(C: Connection) -> Iterator[LocalFamily]:
 
     The closed intervals from a start are its runs of consecutive sibling
     arcs (the arc at k spans k..mate[k] clockwise), grown one span at a
-    time.  Yield order is by start, then length.
+    time.  Only arcs whose ends are clockwise neighbours carry side-walk
+    levels, and such an arc lies inside an interval exactly when one of
+    its ends does.  Yield order is by start, then length.
     """
-    m, N = C.m, 2 * (C.m + C.n)
+    m, n, mate = C.m, C.n, C.mate
+    N = len(mate)
     v = view(C)
-    pts, mate, levels = v.points, C.mate, v.levels
+    leveled = [(v.pos[arc[0]], js) for arc, js in zip(C.pairs, v.levels) if js]
     for start in range(N):
-        inside, sides, length = set(), set(), 0
+        # R holds positions n..n+m-1 and L 2n+m..N-1: an interval from T or R
+        # has points on both sides once it covers position 2n+m, one from B
+        # or L once it covers position n, round the corner
+        reach = ((2 * n + m if start < n + m else N + n) - start) if m else N
+        length = 0
         while True:
-            span = (mate[(start + length) % N] - start - length) % N + 1
-            if length + span >= N:
-                break
-            for k in range(start + length, start + length + span):
-                inside.add(v.pair[k % N])
-                sides.add(pts[k % N][0])
-            length += span
-            if "L" in sides and "R" in sides:
+            length += (mate[(start + length) % N] - start - length) % N + 1
+            if length >= N or length > reach:
                 break
             if length < 4:
                 continue
-            lam_js = [j for r in inside for j in levels[r]]
+            lam_js = [j for k, js in leveled if (k - start) % N < length for j in js]
             if lam_js:
                 lo, hi = min(lam_js), max(lam_js)
                 if lo < 0 or hi > m:
                     continue
                 foreign = (
-                    j
-                    for r, js in enumerate(levels)
-                    if r not in inside
-                    for j in js
+                    j for k, js in leveled if (k - start) % N >= length for j in js
                 )
                 if any(lo < j < hi for j in foreign):
                     continue
+            inside = {v.pair[(start + i) % N] for i in range(length)}
             yield LocalFamily(start, length, tuple(C.pairs[r] for r in sorted(inside)))
 
 
@@ -290,13 +289,18 @@ def lm3_closed_form(C: Connection) -> Lm3Form:
 
     Vertically decomposable states have coefficient A^a Y^b X^c and the
     others A^a Y^b (Y^(2c) - 1)/X, with Y = A^-2 + A^2, X = A^-4 + 1 + A^4.
-    A failed fit raises: the shapes are guaranteed, so failure is a bug.
+    P comes from the engine, or from the pruned fold where no reduction
+    applies and the grid exceeds the oracle budget.  A failed fit raises:
+    the shapes are guaranteed, so failure is a bug.
     """
     if C.n != 3:
         raise ValueError("closed forms need width 3")
     if not is_realizable(C):
         raise ValueError("state is not realizable")
-    P, _ = coefficient(C)
+    try:
+        P, _ = coefficient(C)
+    except BudgetError:
+        P = bracket_coefficient_at(C)
     if is_vertically_decomposable(C) is not None:
         c = 0
         while True:

@@ -13,7 +13,9 @@ boundary point its strand ends at -- together with the strands already
 closed between finished points.  ``bracket_table`` keeps every frontier;
 ``oracle_coefficient`` looks a state's key up in the cached fold of its
 shape; ``bracket_coefficient_at`` drops the frontiers that can no longer
-end at its target.  ``bracket_table_by_enumeration`` is the 2^(mn) sum.
+end at its target, and keeps its recent answers in a bounded per-state
+cache (``_pruned_fold``), since local-family companions repeat.
+``bracket_table_by_enumeration`` is the 2^(mn) sum.
 """
 
 from __future__ import annotations
@@ -22,8 +24,24 @@ import os
 from functools import lru_cache
 from typing import NamedTuple
 
-from .laurent import Laurent, ONE, ZERO, add, monomial, monomial_shift, mul
-from .states import Connection, Point, _from_mate, boundary_points, new_connection
+from .laurent import (
+    Laurent,
+    ONE,
+    ZERO,
+    add,
+    monomial,
+    monomial_shift,
+    mul,
+    substitute_power,
+)
+from .states import (
+    Connection,
+    Point,
+    _from_mate,
+    boundary_points,
+    new_connection,
+    rotate_quarter,
+)
 
 MarkerGrid = tuple[tuple[int, ...], ...]
 
@@ -331,15 +349,24 @@ def bracket_coefficient_at(C: Connection) -> Laurent:
     the answer is one lookup.
 
     The grid is folded along its shorter side; a quarter turn of the diagram
-    inverts ``A``, which is undone on the way out.
+    inverts ``A``, which is undone on the way out.  Answers are memoized per
+    state (``_pruned_fold``), so a repeated state skips both the turn and
+    the fold.
     """
     if not C.is_catalan:
         raise ValueError("connection is not a Catalan state")
-    if C.n > C.m:
-        from .laurent import substitute_power
-        from .states import rotate_quarter
+    return dict(_pruned_fold(C))
 
-        turned = bracket_coefficient_at(rotate_quarter(C))
-        return substitute_power(turned, -1) if turned else dict(ZERO)
+
+# local-family companions depend on the arch pattern alone, so a family
+# sweep folds few distinct states many times
+@lru_cache(maxsize=256)
+def _pruned_fold(C: Connection) -> Laurent:
+    """The pruned-fold value of a Catalan state (shared between callers, so
+    read only)."""
+    turned = C.n > C.m
+    if turned:
+        C = rotate_quarter(C)
     key = _frontier_key(C)
-    return dict(_fold(C.m, C.n, allowed=set(key[1])).get(key, ZERO))
+    value = _fold(C.m, C.n, allowed=set(key[1])).get(key, ZERO)
+    return substitute_power(value, -1) if turned else value

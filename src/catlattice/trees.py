@@ -40,6 +40,12 @@ class Node:
             raise ValueError("delay must be at least 1")
         if self.children and self.delay != 1:
             raise ValueError("only leaves carry a delay")
+        # the plucking memo hashes every tree it meets, so each node keeps
+        # the dataclass hash of its fields, built on its children's
+        object.__setattr__(self, "_hash", hash((self.children, self.delay)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 EMPTY = Node()

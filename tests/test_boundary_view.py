@@ -19,6 +19,11 @@ random states of Cat(5,6) and Cat(6,6).
 ``ref_new_connection`` is the earlier validator over point pairs (a
 pairwise crossing scan and a sort by reading rank), compared with
 ``new_connection`` on every perfect matching of up to ten boundary points.
+``ref_sibling_chain_factorizations`` is the earlier family scan (every
+point of each sibling span added to an inside set and a side set, and the
+levels of every arc re-read per interval), compared with
+``iter_vertical_factorizations`` on every state with mn <= 8 and on seeded
+random states up to Cat(7,7).
 """
 
 import random
@@ -473,6 +478,44 @@ def ref_new_connection(m: int, n_t: int, n_b: int, pairs) -> tuple[Pair, ...]:
     return tuple(canon)
 
 
+def ref_sibling_chain_factorizations(C) -> list:
+    """The earlier family scan over sibling chains, kept literally but for
+    collecting its yields in a list and the module prefixes."""
+    out = []
+    m, N = C.m, 2 * (C.m + C.n)
+    v = S.view(C)
+    pts, mate, levels = v.points, C.mate, v.levels
+    for start in range(N):
+        inside, sides, length = set(), set(), 0
+        while True:
+            span = (mate[(start + length) % N] - start - length) % N + 1
+            if length + span >= N:
+                break
+            for k in range(start + length, start + length + span):
+                inside.add(v.pair[k % N])
+                sides.add(pts[k % N][0])
+            length += span
+            if "L" in sides and "R" in sides:
+                break
+            if length < 4:
+                continue
+            lam_js = [j for r in inside for j in levels[r]]
+            if lam_js:
+                lo, hi = min(lam_js), max(lam_js)
+                if lo < 0 or hi > m:
+                    continue
+                foreign = (
+                    j
+                    for r, js in enumerate(levels)
+                    if r not in inside
+                    for j in js
+                )
+                if any(lo < j < hi for j in foreign):
+                    continue
+            out.append(E.LocalFamily(start, length, tuple(C.pairs[r] for r in sorted(inside))))
+    return out
+
+
 # -- inputs -----------------------------------------------------------------------
 
 
@@ -707,6 +750,24 @@ def test_validator_matches_the_pairwise_reference():
                     same_validation(shape, [(p, q), (q, p)])
     # a Catalan number of noncrossing matchings per shape, the rest cross
     assert (built, crossing) == (1965, 34952)
+
+
+def test_family_scan_matches_the_sibling_chain_reference():
+    states = [
+        C
+        for m in range(1, 9)
+        for n in range(1, 8 // m + 1)
+        for C in S.enumerate_catalan(m, n)
+    ]
+    rng = random.Random(20261020)
+    for m, n in ((5, 6), (6, 6), (7, 7)):
+        states += [random_state(rng, m, n) for _ in range(150)]
+    families = 0
+    for C in states:
+        got = list(E.iter_vertical_factorizations(C))
+        assert got == ref_sibling_chain_factorizations(C), S.render_state(C)
+        families += len(got)
+    assert (len(states), families) == (14642, 24640)
 
 
 def test_removability_of_a_named_arc_form():

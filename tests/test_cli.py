@@ -175,6 +175,21 @@ def test_lm3_command():
     assert "closed forms need width 3" in wide.stderr
 
 
+def test_lm3_command_past_the_oracle_budget():
+    # no reduction applies to either state and 7x3 exceeds the oracle budget
+    feed = (
+        "cat(7,3): T1-T2, T3-R1, L1-L2, L3-L4, L5-L6, L7-B1, R2-R3, R4-R5, "
+        "R6-R7, B2-B3\n"
+        "cat(7,3): T1-L1, T2-T3, L2-L3, L4-L5, L6-L7, R1-R2, R3-R4, R5-R6, "
+        "R7-B3, B1-B2\n"
+    )
+    r = run("lm3", "-", stdin=feed)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == (
+        "indecomposable a=1 b=0 c=4\nindecomposable a=-1 b=0 c=4\n"
+    )
+
+
 def test_stdin_streams_one_result_per_line():
     feed = "cat(1,1): T1-R1, L1-B1\ncat(1,1): T1-L1, R1-B1\n"
     r = run("coeff", "-", stdin=feed)

@@ -191,6 +191,32 @@ def test_lm3_golden_indecomposable():
     assert L.render(form.value()) == "A"
 
 
+#: Realizable Cat(7,3) states with no reduction and a grid past the oracle
+#: budget, a state and its mirror image.
+LM3_PAST_BUDGET = [
+    (
+        "cat(7,3): T1-T2, T3-R1, L1-L2, L3-L4, L5-L6, L7-B1, R2-R3, R4-R5, "
+        "R6-R7, B2-B3",
+        E.Lm3Form("indecomposable", 1, 0, 4),
+    ),
+    (
+        "cat(7,3): T1-L1, T2-T3, L2-L3, L4-L5, L6-L7, R1-R2, R3-R4, R5-R6, "
+        "R7-B3, B1-B2",
+        E.Lm3Form("indecomposable", -1, 0, 4),
+    ),
+]
+
+
+@pytest.mark.parametrize("text, want", LM3_PAST_BUDGET)
+def test_lm3_closed_form_past_the_oracle_budget(text, want):
+    C = S.parse_state(text)
+    with pytest.raises(K.BudgetError, match="unreachable within budget"):
+        E.coefficient(C)
+    form = E.lm3_closed_form(C)
+    assert form == want
+    assert form.value() == K.bracket_coefficient_at(C)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_lm3_forms_reevaluate(m):
     for C in S.enumerate_catalan(m, 3):

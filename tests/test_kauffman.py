@@ -165,3 +165,30 @@ def test_targeted_fold_rejects_open_connections():
                                        (("T", 4), ("B", 2))])
     with pytest.raises(ValueError, match="connection is not a Catalan state"):
         K.bracket_coefficient_at(strip)
+
+
+def test_pruned_fold_cache_is_bounded():
+    assert K._pruned_fold.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # wide: answered through the quarter turn
+        "cat(1,4): T1-T2, T3-T4, L1-B1, R1-B4, B2-B3",
+        # tall: folded as it stands
+        "cat(3,2): T1-L1, T2-R1, L2-L3, R2-R3, B1-B2",
+    ],
+)
+def test_pruned_fold_answers_are_fresh_copies(text):
+    C = S.parse_state(text)
+    K._pruned_fold.cache_clear()
+    first = K.bracket_coefficient_at(C)
+    assert first == K.oracle_coefficient(C) and first
+    first[99] = 1
+    first.clear()
+    again = K.bracket_coefficient_at(C)
+    assert again == K.oracle_coefficient(C)
+    assert K._pruned_fold.cache_info().hits == 1
+    again[99] = 1
+    assert K.bracket_coefficient_at(C) == K.oracle_coefficient(C)

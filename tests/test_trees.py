@@ -33,6 +33,17 @@ def test_render_parse_round_trip():
     assert T.parse_tree(" ( ( ) ( ) ) ") == T.Node((T.Node(), T.Node()))
 
 
+def test_node_hash_is_the_field_hash():
+    rng = random.Random(6)
+    for _ in range(200):
+        t = rand_tree(rng, 4, [1, 2, 3])
+        assert hash(t) == hash((t.children, t.delay))
+        u = T.parse_tree(T.render_tree(t))
+        assert u == t and hash(u) == hash(t)
+    # each node hashes its children's stored hashes, so depth costs no stack
+    assert hash(T.path_tree(5000)) == hash(T.path_tree(5000))
+
+
 @pytest.mark.parametrize(
     "bad, msg",
     [
