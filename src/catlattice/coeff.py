@@ -6,10 +6,16 @@ vertical decomposition at saturated lines, removable-arc reduction,
 vertical factorization through local families, and finally the
 brute-force oracle within budget.  Every rewrite is logged in a trace
 whose factors multiply back to the reported value.
+
+The reductions leave smaller states, and across a stream of states those
+recur, so ``_reduce`` keeps one bounded per-state memo of the reduction:
+a repeated state's value and trace steps are reused, not rebuilt.
+``coefficient`` hands out fresh copies of both.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional
 
 from .kauffman import BudgetError, bracket_coefficient_at, oracle_coefficient, _budget
@@ -145,20 +151,23 @@ def vertical_factor_parts(
 ) -> tuple[Connection, Connection]:
     """Split off a local family: C's coefficient is the parts' product.
 
-    The first part re-homes the family in a lam x 2*lam rectangle: the top
-    edge carries the family's arch pattern, every bottom point routes to
-    the nearest side point: B_i to L_(lam+1-i) and B_(lam+i) to R_i, the
-    rainbows on clockwise positions [2lam, 4lam) and [4lam, 6lam).  The
-    second part is C with the family replaced by the nested rainbow on its
-    interval.
+    The first part re-homes the family in a lam x 2*lam rectangle (see
+    ``_companion``).  The second part is C with the family replaced by the
+    nested rainbow on its interval.
     """
+    C_lam = _from_mate(C.m, C.n, C.n, _rainbow(C.mate, fam.start, fam.length))
+    return _companion(C, fam), C_lam
+
+
+def _companion(C: Connection, fam: LocalFamily) -> Connection:
+    """A local family re-homed in a lam x 2*lam rectangle: the top edge
+    carries the family's arch pattern, every bottom point routes to the
+    nearest side point: B_i to L_(lam+1-i) and B_(lam+i) to R_i, the
+    rainbows on clockwise positions [2lam, 4lam) and [4lam, 6lam)."""
     start, length, N = fam.start, fam.length, len(C.mate)
-    lam = length // 2
-    C_lam = _from_mate(C.m, C.n, C.n, _rainbow(C.mate, start, length))
     top = [(C.mate[(start + k) % N] - start) % N for k in range(length)]
     wired = _rainbow(top + [0] * (2 * length), length, length)
-    C_T = _from_mate(lam, length, length, _rainbow(wired, 2 * length, length))
-    return C_T, C_lam
+    return _from_mate(length // 2, length, length, _rainbow(wired, 2 * length, length))
 
 
 def vertical_decompose(C: Connection) -> list[Connection]:
@@ -181,82 +190,80 @@ def coefficient(
 ) -> tuple[Laurent, list[TraceStep]]:
     """Coefficient of a Catalan state, with the reduction trace.
 
-    The product of the trace factors equals the returned polynomial.
+    The product of the trace factors equals the returned polynomial.  The
+    value, the list and every step's factor are fresh copies, so callers
+    may mutate them.
     """
-    trace: list[TraceStep] = []
-    value = _reduce(C, trace, frozenset(), budget_bits)
-    return value, trace
+    value, steps = _reduce(C, frozenset(), _budget(budget_bits))
+    return dict(value), [TraceStep(s.kind, s.detail, dict(s.factor)) for s in steps]
 
 
-def _tree_step(C: Connection, trace) -> Laurent:
+def _tree_step(C: Connection) -> tuple[Laurent, tuple[TraceStep, ...]]:
     """Tree-formula value of a realizable state without bottom returns."""
     value = coeff_no_bottom_returns(C)
     # the formula's top term is A^(2*beta - mn), so beta need not be rerun
     b = (max_degree(value) + C.m * C.n) // 2
-    trace.append(TraceStep("tree-formula", f"m={C.m} n={C.n} beta={b}", value))
-    return value
+    return value, (TraceStep("tree-formula", f"m={C.m} n={C.n} beta={b}", value),)
 
 
-def _reduce(C, trace, seen, budget_bits) -> Laurent:
+@lru_cache(maxsize=64)
+def _reduce(C, seen, budget) -> tuple[Laurent, tuple[TraceStep, ...]]:
+    """(value, trace steps) of C, never revisiting a local-family remainder
+    in ``seen``, under an oracle budget of ``budget`` bits (shared between
+    callers, so read only)."""
     if not is_realizable(C):
-        trace.append(
-            TraceStep("realizability", "a cut line is crossed too often", dict(ZERO))
+        zero = dict(ZERO)
+        return zero, (
+            TraceStep("realizability", "a cut line is crossed too often", zero),
         )
-        return dict(ZERO)
     census = classify(C)
     if census.bottom_returns == 0:
-        return _tree_step(C, trace)
+        return _tree_step(C)
     if census.top_returns == 0:
-        trace.append(
-            TraceStep("rotate-pi", "bottom returns only; half-turn image", dict(ONE))
-        )
-        return _tree_step(rotate_pi(C), trace)
+        value, steps = _tree_step(rotate_pi(C))
+        turn = TraceStep("rotate-pi", "bottom returns only; half-turn image", dict(ONE))
+        return value, (turn,) + steps
     parts = vertical_decompose(C)
     if len(parts) > 1:
-        trace.append(
+        value = dict(ONE)
+        steps = (
             TraceStep(
                 "vertical-decompose",
                 f"{len(parts)} blocks at saturated lines",
                 dict(ONE),
-            )
+            ),
         )
-        value = dict(ONE)
         for part in parts:
-            value = mul(value, _reduce(part, trace, frozenset(), budget_bits))
-        return value
+            part_value, part_steps = _reduce(part, frozenset(), budget)
+            value = mul(value, part_value)
+            steps += part_steps
+        return value, steps
     step = reduce_removable(C)
     if step is not None:
         factor, reduced, arc = step
-        trace.append(
-            TraceStep(
-                "removable-arc",
-                f"{_point_text(arc[0])}-{_point_text(arc[1])}",
-                factor,
-            )
+        value, steps = _reduce(reduced, seen, budget)
+        removal = TraceStep(
+            "removable-arc", f"{_point_text(arc[0])}-{_point_text(arc[1])}", factor
         )
-        return mul(factor, _reduce(reduced, trace, seen, budget_bits))
+        return mul(factor, value), (removal,) + steps
     for fam in iter_vertical_factorizations(C):
-        if _rainbow(C.mate, fam.start, fam.length) == C.mate:
+        lam_mate = _rainbow(C.mate, fam.start, fam.length)
+        if lam_mate == C.mate:
             continue  # the family already is the rainbow, so C_lam == C
-        C_T, C_lam = vertical_factor_parts(C, fam)
+        C_lam = _from_mate(C.m, C.n, C.n, lam_mate)
         if C_lam in seen:
             continue
-        trace.append(
-            TraceStep(
-                "vertical-factor",
-                f"{fam.length // 2} arcs at boundary offset {fam.start}",
-                dict(ONE),
-            )
+        left, left_steps = _reduce(_companion(C, fam), frozenset(), budget)
+        right, right_steps = _reduce(C_lam, seen | {C}, budget)
+        split = TraceStep(
+            "vertical-factor",
+            f"{fam.length // 2} arcs at boundary offset {fam.start}",
+            dict(ONE),
         )
-        left = _reduce(C_T, trace, frozenset(), budget_bits)
-        right = _reduce(C_lam, trace, seen | {C}, budget_bits)
-        return mul(left, right)
-    if C.m * C.n <= _budget(budget_bits):
-        value = oracle_coefficient(C, budget_bits)
-        trace.append(
-            TraceStep("oracle", f"{C.m}x{C.n} bracket table", value)
-        )
-        return value
+        return mul(left, right), (split,) + left_steps + right_steps
+    if C.m * C.n <= budget:
+        value = oracle_coefficient(C, budget)
+        return value, (TraceStep("oracle", f"{C.m}x{C.n} bracket table", value),)
     raise BudgetError(
         f"unreachable within budget: no reduction applies to this "
         f"{C.m}x{C.n} state and its grid exceeds the oracle budget"

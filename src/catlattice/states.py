@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional
 
 Point = tuple[str, int]
@@ -68,6 +68,26 @@ class _Zero:
 K0 = _Zero()
 
 
+class _stored:
+    """A derived attribute computed on its first read and stored in the
+    instance dict.  A non-data descriptor, so later reads are plain
+    attribute hits; unlike ``functools.cached_property`` on Python 3.11,
+    the first read takes no lock."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Connection:
     """A noncrossing perfect matching of grid boundary points.
@@ -89,7 +109,7 @@ class Connection:
     n_b: int
     mate: tuple[int, ...]
 
-    @cached_property
+    @_stored
     def pairs(self) -> tuple[Pair, ...]:
         """The matched pairs in reading order (top, left, right, then
         bottom points, index ascending), the earlier end of each first."""

@@ -273,3 +273,76 @@ def test_width_three_closed_forms_past_m_five():
             )
             compared += 1
     print(f"{len(stuck)} draws raised BudgetError", stuck)
+
+
+def test_reduction_memo_is_bounded():
+    assert E._reduce.cache_info().maxsize is not None
+
+
+def test_reduction_memo_answers_are_fresh_copies():
+    C = samples.factor_sample_state()
+    E._reduce.cache_clear()
+    value, trace = E.coefficient(C)
+    want_value, want_trace = dict(value), E.render_trace(trace)
+    assert "vertical-factor" in want_trace
+    value[99] = 1
+    value.clear()
+    for step in trace:
+        step.factor[99] = 1
+    trace.pop()
+    trace.append(E.TraceStep("oracle", "forged", {0: 1}))
+    before = E._reduce.cache_info()
+    again, again_trace = E.coefficient(C)
+    after = E._reduce.cache_info()
+    assert again == want_value
+    assert E.render_trace(again_trace) == want_trace
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+
+
+REMOVE_THEN_ORACLE = "cat(2,3): T1-T2, T3-R1, L1-L2, R2-B1, B2-B3"
+
+
+def budget_message(C, **kwargs):
+    with pytest.raises(K.BudgetError) as err:
+        E.coefficient(C, **kwargs)
+    return str(err.value)
+
+
+def test_tight_budget_still_raises_after_a_loose_one(monkeypatch):
+    # the 1x3 remainder of this state needs the oracle, so a 2-bit budget
+    # must raise however the loose call left the memo
+    C = S.parse_state(REMOVE_THEN_ORACLE)
+    E._reduce.cache_clear()
+    cold = budget_message(C, budget_bits=2)
+    assert "exceeds the oracle budget" in cold
+    E._reduce.cache_clear()
+    assert E.coefficient(C, budget_bits=20)[0] == K.oracle_coefficient(C)
+    assert budget_message(C, budget_bits=2) == cold
+    E._reduce.cache_clear()
+    assert E.coefficient(C)[0] == K.oracle_coefficient(C)
+    monkeypatch.setenv("ORACLE_BUDGET_BITS", "2")
+    assert budget_message(C) == cold
+
+
+def test_warm_and_cold_reductions_agree():
+    # every state with mn <= 12 is about 2 million states, so the strips
+    # are cut at m + n <= 8 (9176 states)
+    every = [
+        C
+        for m in range(1, 8)
+        for n in range(1, 9 - m)
+        if m * n <= 12
+        for C in S.enumerate_catalan(m, n)
+    ]
+
+    def answers(order):
+        E._reduce.cache_clear()
+        out = {}
+        for C in order:
+            value, trace = E.coefficient(C)
+            out[C] = (L.render(value), E.render_trace(trace))
+        return out
+
+    forward = answers(every)
+    assert len(forward) == 9176
+    assert answers(reversed(every)) == forward
