@@ -286,9 +286,24 @@ class Lm3Form(NamedTuple):
         base = mul(monomial(self.a), power(_Y, self.b))
         if self.kind == "decomposable":
             return mul(base, power(_X, self.c))
-        bracket = dict(power(_Y, 2 * self.c))
-        bracket[0] = bracket.get(0, 0) - 1
-        return mul(base, div_exact(bracket, _X))
+        return mul(base, div_exact(_bracket(self.c), _X))
+
+
+def _bracket(c: int) -> Laurent:
+    """Y^(2c) - 1, the numerator of the indecomposable form."""
+    out = dict(power(_Y, 2 * c))
+    out[0] = out.get(0, 0) - 1
+    return out
+
+
+def _divide_out(P: Laurent, d: Laurent) -> tuple[Laurent, int]:
+    """P with every factor d divided out, and how many there were."""
+    times = 0
+    while True:
+        try:
+            P, times = div_exact(P, d), times + 1
+        except ValueError:
+            return P, times
 
 
 def lm3_closed_form(C: Connection) -> Lm3Form:
@@ -309,20 +324,8 @@ def lm3_closed_form(C: Connection) -> Lm3Form:
     except BudgetError:
         P = bracket_coefficient_at(C)
     if is_vertically_decomposable(C) is not None:
-        c = 0
-        while True:
-            try:
-                nxt = div_exact(P, _X)
-            except ValueError:
-                break
-            P, c = nxt, c + 1
-        b = 0
-        while True:
-            try:
-                nxt = div_exact(P, _Y)
-            except ValueError:
-                break
-            P, b = nxt, b + 1
+        P, c = _divide_out(P, _X)
+        P, b = _divide_out(P, _Y)
         if not is_monomial(P) or P[min_degree(P)] != 1:
             raise AssertionError("decomposable fit failed")
         return Lm3Form("decomposable", min_degree(P), b, c)
@@ -338,10 +341,8 @@ def lm3_closed_form(C: Connection) -> Lm3Form:
         c = span // 8
         if c < 1:
             continue
-        bracket = dict(power(_Y, 2 * c))
-        bracket[0] = bracket.get(0, 0) - 1
         try:
-            residue = div_exact(S, bracket)
+            residue = div_exact(S, _bracket(c))
         except ValueError:
             continue
         if is_monomial(residue) and residue[min_degree(residue)] == 1:

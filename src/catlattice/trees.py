@@ -10,13 +10,21 @@ repeatedly plucking a currently-allowed leaf, where plucking ticks every
 other leaf's delay down (never below 1) and a leaf is allowed when its
 delay is 1.  :func:`plucking` evaluates it by factoring at splitting
 subtrees, Q(T) = Q(T') Q(T''), and sums over plucks only where no
-splitting subtree exists.
+splitting subtree exists.  A run of sibling subtrees T' splits off when
+its greatest leaf delay is at most the least leaf delay outside it.
+
+Every node stores its counts at construction, from its children's:
+vertex count ``size``, ``leaves``, and the least and greatest leaf delay
+``lo`` and ``hi`` (an inner node's own delay of 1 is not a leaf delay).
+So no question about a tree's size or delays walks it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from .laurent import Laurent, ONE, ZERO, add, monomial_shift, mul
@@ -36,19 +44,33 @@ class Node:
     delay: int = 1
 
     def __post_init__(self):
-        if self.delay < 1:
+        kids, delay = self.children, self.delay
+        if delay < 1:
             raise ValueError("delay must be at least 1")
-        if self.children and self.delay != 1:
-            raise ValueError("only leaves carry a delay")
         # the plucking memo hashes every tree it meets, so each node keeps
-        # the dataclass hash of its fields, built on its children's
-        object.__setattr__(self, "_hash", hash((self.children, self.delay)))
+        # the dataclass hash of its fields, built on its children's; its
+        # counts are built on its children's counts the same way
+        d = self.__dict__
+        d["_hash"] = hash((kids, delay))
+        if not kids:
+            d["size"] = d["leaves"] = 1
+            d["lo"] = d["hi"] = delay
+            return
+        if delay != 1:
+            raise ValueError("only leaves carry a delay")
+        size, leaves, lo, hi = 1, 0, kids[0].lo, kids[0].hi
+        for c in kids:
+            size += c.size
+            leaves += c.leaves
+            if c.lo < lo:
+                lo = c.lo
+            if c.hi > hi:
+                hi = c.hi
+        d["size"], d["leaves"], d["lo"], d["hi"] = size, leaves, lo, hi
 
     def __hash__(self) -> int:
         return self._hash
 
-
-EMPTY = Node()
 
 Path = tuple[int, ...]
 
@@ -59,8 +81,7 @@ def render_tree(t: Node) -> str:
     return "(" + "".join(render_tree(c) for c in t.children) + ")"
 
 
-def parse_tree(s: str) -> Node:
-    text = s
+def parse_tree(text: str) -> Node:
     i = 0
 
     def skip_ws():
@@ -95,11 +116,7 @@ def parse_tree(s: str) -> Node:
                 raise ValueError(f"expected delay digits at position {i}")
             delay = int(text[i:j])
             i = j
-            if kids:
-                raise ValueError("only leaves carry a delay")
-            if delay < 1:
-                raise ValueError("delay must be at least 1")
-        return Node(tuple(kids), delay)
+        return Node(tuple(kids), delay)  # checks the delay
 
     out = node()
     skip_ws()
@@ -109,13 +126,11 @@ def parse_tree(s: str) -> Node:
 
 
 def vertex_count(t: Node) -> int:
-    return 1 + sum(vertex_count(c) for c in t.children)
+    return t.size
 
 
 def leaf_count(t: Node) -> int:
-    if not t.children:
-        return 1
-    return sum(leaf_count(c) for c in t.children)
+    return t.leaves
 
 
 def subtree_at(t: Node, path: Path) -> Node:
@@ -130,8 +145,10 @@ def mirror(t: Node) -> Node:
     return Node(tuple(mirror(c) for c in reversed(t.children)))
 
 
+@lru_cache(maxsize=256)
 def path_tree(k: int) -> Node:
-    """A path with k edges; its single leaf has delay 1."""
+    """A path with k edges; its single leaf has delay 1.  Cached: every
+    complementary tree of the same size shares one chain."""
     t = Node()
     for _ in range(k):
         t = Node((t,))
@@ -148,10 +165,10 @@ def pluckable_leaves(t: Node) -> list[Path]:
     out: list[Path] = []
 
     def walk(node: Node, path: Path):
-        if not node.children:
-            if path and node.delay == 1:
-                out.append(path)
+        if node.lo > 1:
             return
+        if path and not node.children:
+            out.append(path)
         for k, c in enumerate(node.children):
             walk(c, path + (k,))
 
@@ -168,52 +185,42 @@ def right_count(t: Node, path: Path) -> int:
     node = t
     for k in path:
         flank = node.children[k + 1 :] if COUNT_RIGHT_OF_PATH else node.children[:k]
-        total += sum(vertex_count(c) for c in flank)
+        total += sum(c.size for c in flank)
         node = node.children[k]
     if node.children:
         raise ValueError("path does not end at a leaf")
     return total
 
 
+def _ticked(t: Node) -> Node:
+    """t with every leaf's delay one lower, never below 1."""
+    if t.hi == 1:
+        return t
+    if not t.children:
+        return Node((), t.delay - 1)
+    return Node(tuple(_ticked(c) for c in t.children))
+
+
 def pluck(t: Node, path: Path) -> Node:
-    """Remove a pluckable leaf and tick every other leaf's delay down."""
-    if path not in pluckable_leaves(t):
+    """Remove a pluckable leaf and tick every other leaf's delay down.
+
+    A vertex that loses its last child becomes a leaf of delay 1.
+    """
+    spine = [t]  # the vertices on the path, root first
+    for k in path:
+        kids = spine[-1].children
+        if not 0 <= k < len(kids):
+            raise ValueError("leaf is not pluckable")
+        spine.append(kids[k])
+    leaf = spine.pop()
+    if not path or leaf.children or leaf.delay != 1:
         raise ValueError("leaf is not pluckable")
-
-    def rebuild(node: Node, p: Path) -> Optional[Node]:
-        if not p:
-            return None
-        k = p[0]
-        kids = list(node.children)
-        replacement = rebuild(kids[k], p[1:])
-        if replacement is None:
-            del kids[k]
-        else:
-            kids[k] = replacement
-        if kids:
-            return Node(tuple(kids))
-        # node just lost its last child: it becomes a fresh leaf
-        return Node((), 1)
-
-    stripped = rebuild(t, path)
-    if stripped is None:
-        return EMPTY
-
-    # tick delays only on leaves that were already leaves before the pluck;
-    # rebuild() marks the possibly-new leaf with delay 1, and ticking it
-    # once more would be wrong, so locate it and protect it.
-    parent_path = path[:-1]
-
-    def tick(node: Node, p: Path, protected: Path) -> Node:
-        if not node.children:
-            if p == protected and subtree_at(t, p).children:
-                return node
-            return Node((), max(1, node.delay - 1))
-        return Node(
-            tuple(tick(c, p + (k,), protected) for k, c in enumerate(node.children))
-        )
-
-    return tick(stripped, (), parent_path)
+    below: tuple[Node, ...] = ()  # the rebuilt path child; none for the leaf
+    for node, k in zip(reversed(spine), reversed(path)):
+        kids = node.children
+        left, right = map(_ticked, kids[:k]), map(_ticked, kids[k + 1 :])
+        below = (Node((*left, *below, *right)),)
+    return below[0]
 
 
 # -- factoring through splitting subtrees ---------------------------------
@@ -227,15 +234,6 @@ class Split(NamedTuple):
     stop: int
 
 
-def _delays(t: Node) -> list[int]:
-    if not t.children:
-        return [t.delay]
-    out = []
-    for c in t.children:
-        out.extend(_delays(c))
-    return out
-
-
 def split_subtree(t: Node, split: Split) -> Node:
     """The factor T': the split vertex with the chosen run of children."""
     v = subtree_at(t, split.path)
@@ -244,17 +242,13 @@ def split_subtree(t: Node, split: Split) -> Node:
 
 def complementary_tree(t: Node, split: Split) -> Node:
     """T with the split's children replaced by an equal-size bare path."""
-    sub = split_subtree(t, split)
-    chain = path_tree(vertex_count(sub) - 1)
+    run = subtree_at(t, split.path).children[split.start : split.stop]
+    chain = (path_tree(sum(c.size for c in run) - 1),)
 
     def rebuild(node: Node, p: Path) -> Node:
         if not p:
-            kids = (
-                node.children[: split.start]
-                + chain.children
-                + node.children[split.stop :]
-            )
-            return Node(kids) if kids else Node((), 1)
+            kids = node.children
+            return Node(kids[: split.start] + chain + kids[split.stop :])
         k = p[0]
         kids = list(node.children)
         kids[k] = rebuild(kids[k], p[1:])
@@ -269,28 +263,26 @@ def find_splitting_subtree(t: Node) -> Optional[Split]:
     A site qualifies when every leaf inside waits no longer than any leaf
     outside (so the inside can be plucked clean first), and when taking it
     makes progress: at least two leaves inside and not the whole tree.
+    Each queued vertex carries the least leaf delay outside it.
     """
-    all_delays = sorted(_delays(t))
-    queue: list[tuple[Path, Node]] = [((), t)]
-    while queue:
-        path, node = queue.pop(0)
-        k = len(node.children)
-        for width in range(k, 0, -1):
-            for start in range(0, k - width + 1):
-                stop = start + width
-                if not path and width == k:
-                    continue  # T' = T: no progress
-                sub = Node(node.children[start:stop])
-                if leaf_count(sub) < 2:
-                    continue
-                inside = sorted(_delays(sub))
-                outside = list(all_delays)
-                for d in inside:
-                    outside.remove(d)
-                if not outside or max(inside) <= min(outside):
-                    return Split(path, start, stop)
-        for k2, c in enumerate(node.children):
-            queue.append((path + (k2,), c))
+    queue: list[tuple[Path, Node, float]] = [((), t, math.inf)]
+    for path, node, outside in queue:
+        if node.leaves < 2:
+            continue  # no run below here holds two leaves
+        kids = node.children
+        k = len(kids)
+        # least delay outside node or in kids[:i], and in kids[i:]
+        before = list(accumulate((c.lo for c in kids), min, initial=outside))
+        after = list(accumulate((c.lo for c in kids[::-1]), min, initial=math.inf))
+        after.reverse()
+        for width in range(k if path else k - 1, 0, -1):  # T' = T: no progress
+            for start in range(k - width + 1):
+                run = kids[start : start + width]
+                least = min(before[start], after[start + width])
+                if sum(c.leaves for c in run) > 1 and max(c.hi for c in run) <= least:
+                    return Split(path, start, start + width)
+        for j, c in enumerate(kids):
+            queue.append((path + (j,), c, min(before[j], after[j + 1])))
     return None
 
 

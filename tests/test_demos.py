@@ -1,4 +1,5 @@
-"""Every script in demos/ runs to completion and prints its walkthrough."""
+"""Every script in demos/ runs to completion and prints its walkthrough, and
+the project declares what the suite needs."""
 
 import os
 import subprocess
@@ -28,3 +29,12 @@ def test_demo_runs(demo):
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip()
+
+
+def test_test_extra_declares_the_suite_dependencies():
+    # the suite imports pytest and hypothesis; `pip install -e .[test]`
+    # must bring both
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        extras = tomllib.load(fh)["project"]["optional-dependencies"]
+    assert {"pytest", "hypothesis"} <= set(extras["test"])

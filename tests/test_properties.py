@@ -1,8 +1,10 @@
-"""Property tests over seeded random states with mn <= 12.
+"""Property tests over seeded random states with mn <= 12, and trees.
 
-Each example is a random noncrossing matching of the Cat(m,n) boundary
-(``random_state``), drawn from a shape and a seed; ``derandomize`` keeps
-the examples the same from run to run.
+Each state example is a random noncrossing matching of the Cat(m,n)
+boundary (``random_state``), drawn from a shape and a seed; each tree
+example is a random plane tree (``rand_plane_tree``) of up to 40 vertices,
+past the reach of the plucking definition.  ``derandomize`` keeps the
+examples the same from run to run.
 """
 
 import random
@@ -11,14 +13,21 @@ from hypothesis import given, settings, strategies as st
 
 from catlattice import states as S
 from catlattice.coeff import coefficient
-from catlattice.laurent import substitute_power
+from catlattice import trees as T
+from catlattice.laurent import ONE, mul, q_binomial, substitute_power
 from test_boundary_view import random_state
+from test_trees import rand_plane_tree
 
 SHAPES = [(m, n) for m in range(1, 13) for n in range(1, 13) if m * n <= 12]
 
 catalan_states = st.builds(
     lambda shape, seed: random_state(random.Random(seed), *shape),
     st.sampled_from(SHAPES),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+plain_trees = st.builds(
+    lambda seed: rand_plane_tree(random.Random(seed), 40, [1]),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 
@@ -50,3 +59,21 @@ def test_half_turn_keeps_the_coefficient(C):
 def test_quarter_turn_inverts_a(C):
     turned = coefficient(S.rotate_quarter(C))[0]
     assert turned == substitute_power(coefficient(C)[0], -1)
+
+
+def _q_multinomial_product(t):
+    # the product over vertices of [s_1 + ... + s_k; s_1, ..., s_k]_q, where
+    # the s_i are the sizes of the vertex's child subtrees, and t's size;
+    # it counts sizes itself rather than read the stored ones
+    out, total = ONE, 0
+    for c in t.children:
+        below, size = _q_multinomial_product(c)
+        total += size
+        out = mul(out, mul(q_binomial(total, size), below))
+    return out, total + 1
+
+
+@examples
+@given(plain_trees)
+def test_plucking_of_a_delay_free_tree_is_a_q_multinomial_product(t):
+    assert T.plucking(t) == _q_multinomial_product(t)[0]

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+import plucking_reference as R
 from plucking_reference import plucking_by_definition
 
 from catlattice import laurent as L
@@ -15,6 +16,20 @@ def rand_tree(rng, depth, delays):
         return T.Node((), rng.choice(delays))
     k = rng.randint(1, 3)
     return T.Node(tuple(rand_tree(rng, depth - 1, delays) for _ in range(k)))
+
+
+def rand_plane_tree(rng, max_vertices, delays):
+    """Vertex i hangs under a random earlier vertex, as its last child."""
+    kids = [[] for _ in range(rng.randint(1, max_vertices))]
+    for i in range(1, len(kids)):
+        kids[rng.randrange(i)].append(i)
+
+    def build(v):
+        if not kids[v]:
+            return T.Node((), rng.choice(delays))
+        return T.Node(tuple(build(c) for c in kids[v]))
+
+    return build(0)
 
 
 def test_node_validation():
@@ -57,6 +72,48 @@ def test_node_hash_is_the_field_hash():
 def test_parse_tree_errors(bad, msg):
     with pytest.raises(ValueError, match=msg):
         T.parse_tree(bad)
+
+
+def _vertex_paths(t):
+    out = [()]
+    for path in out:
+        out.extend(path + (k,) for k in range(len(T.subtree_at(t, path).children)))
+    return out
+
+
+def _counts(t):
+    # (size, leaves, lo, hi) by recursion over the children
+    if not t.children:
+        return 1, 1, t.delay, t.delay
+    below = [_counts(c) for c in t.children]
+    return (
+        1 + sum(b[0] for b in below),
+        sum(b[1] for b in below),
+        min(b[2] for b in below),
+        max(b[3] for b in below),
+    )
+
+
+def test_stored_counts_match_their_recursive_definitions():
+    rng = random.Random(31)
+    for _ in range(300):
+        t = rand_plane_tree(rng, 14, [1, 2, 3, 4])
+        for path in _vertex_paths(t):
+            v = T.subtree_at(t, path)
+            assert (v.size, v.leaves, v.lo, v.hi) == _counts(v), T.render_tree(v)
+        assert T.vertex_count(t) == t.size and T.leaf_count(t) == t.leaves
+    # an inner vertex whose leaves all wait: its own delay of 1 is no leaf's
+    t = T.parse_tree("((():3():2)())")
+    inner = t.children[0]
+    assert (inner.size, inner.leaves, inner.lo, inner.hi) == (3, 2, 2, 3)
+    assert (t.size, t.leaves, t.lo, t.hi) == (5, 3, 1, 3)
+
+
+def test_counts_of_a_deep_path_need_no_recursion():
+    p = T.path_tree(5000)
+    assert T.vertex_count(p) == 5001
+    assert T.leaf_count(p) == 1
+    assert (p.lo, p.hi) == (1, 1)
 
 
 def test_path_tree():
@@ -119,8 +176,33 @@ def test_pluck():
     d = T.parse_tree("(():2())")
     # plucking the free leaf ticks the delayed one down to 1
     assert T.render_tree(T.pluck(d, (1,))) == "(())"
-    with pytest.raises(ValueError, match="leaf is not pluckable"):
-        T.pluck(d, (0,))
+    # the parent that loses its last child becomes a leaf of delay 1, while
+    # the old leaves tick down
+    t = T.parse_tree("((())():3)")
+    assert T.render_tree(T.pluck(t, (0, 0))) == "(()():2)"
+    # empty, negative, out of range, a delayed leaf, an inner vertex, and a
+    # path running past a leaf
+    t = T.parse_tree("(():2(()()))")
+    for path in [(), (-1,), (2,), (0,), (1,), (1, 0, 0)]:
+        with pytest.raises(ValueError, match="leaf is not pluckable"):
+            T.pluck(t, path)
+
+
+def test_pluck_and_sites_match_the_former_walks():
+    # differential against the copies in plucking_reference, which re-walk
+    # the tree; equal values alone would not catch a moved site
+    rng = random.Random(20261019)
+    sites = 0
+    for _ in range(2000):
+        t = rand_plane_tree(rng, 13, [1, 2, 3, 4])
+        got = T.find_splitting_subtree(t)
+        assert got == R.find_splitting_subtree(t), T.render_tree(t)
+        sites += got is not None
+        assert T.pluckable_leaves(t) == R.pluckable_leaves(t)
+        for path in R.pluckable_leaves(t):
+            assert T.pluck(t, path) == R.pluck(t, path), (T.render_tree(t), path)
+            assert T.right_count(t, path) == R.right_count(t, path)
+    assert sites > 500, "sampling found too few splitting sites"
 
 
 def test_plucking_recursion_matches_direct_sum():
