@@ -42,6 +42,7 @@ from .states import (
     _from_mate,
     _point_text,
     _rainbow,
+    _shape,
     classify,
     extended_labels,
     find_removable_arcs,
@@ -118,8 +119,7 @@ def iter_vertical_factorizations(C: Connection) -> Iterator[LocalFamily]:
     """
     m, n, mate = C.m, C.n, C.mate
     N = len(mate)
-    v = view(C)
-    leveled = [(v.pos[arc[0]], js) for arc, js in zip(C.pairs, v.levels) if js]
+    leveled, pos = view(C).levels, _shape(m, n, n)[1]
     for start in range(N):
         # R holds positions n..n+m-1 and L 2n+m..N-1: an interval from T or R
         # has points on both sides once it covers position 2n+m, one from B
@@ -142,8 +142,8 @@ def iter_vertical_factorizations(C: Connection) -> Iterator[LocalFamily]:
                 )
                 if any(lo < j < hi for j in foreign):
                     continue
-            inside = {v.pair[(start + i) % N] for i in range(length)}
-            yield LocalFamily(start, length, tuple(C.pairs[r] for r in sorted(inside)))
+            arcs = (arc for arc in C.pairs if (pos[arc[0]] - start) % N < length)
+            yield LocalFamily(start, length, tuple(arcs))
 
 
 def vertical_factor_parts(

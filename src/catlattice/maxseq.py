@@ -9,7 +9,7 @@ all +1s then all -1s); ``beta`` is that grid's +1 count and
 from __future__ import annotations
 
 from .kauffman import smooth
-from .states import Connection, classify, coordinate, is_realizable
+from .states import Connection, classify, coordinate, identity_state, is_realizable
 
 
 def _check(C: Connection) -> None:
@@ -94,7 +94,5 @@ def sequence_realizes(b, m: int, n: int) -> Connection:
     if len(b) != m:
         raise ValueError("need one count per row")
     if m == 0:
-        from .states import identity_state
-
         return identity_state(n)
     return smooth(row_sorted_grid(b, n)).state

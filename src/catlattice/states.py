@@ -19,10 +19,13 @@ the partner of the point at position k of :func:`boundary_points` order
 (T1..Tn_t, R1..Rm, Bn_b..B1, Lm..L1, positions 0..N-1).  The pairs are
 derived from it.  Every connection goes through :func:`_from_mate`, which
 checks ``mate``; :func:`new_connection` maps outside pairs to positions.
+Inside the module an arc is its two positions: points appear only in
+text, public arguments and returned pairs, ``_shape`` alone maps them to
+positions, and :func:`_arc` is the one checked lookup of a point pair.
 
 Boundary questions -- cut lines, the arc census, removable arcs, local
 families, the tree of a state -- read ``mate`` and one cached view,
-:func:`view`: each position's pair, each arc's side-walk levels, the
+:func:`view`: the side-walk levels of the arcs that have them, the
 census and the crossing count of every cut line.  The left and right
 side walks are the clockwise order cut at the right and the left side,
 so an arc has a side-walk level only where its ends are clockwise
@@ -254,30 +257,34 @@ def parse_state(s: str) -> Connection:
 
 
 def identity_state(n: int) -> Connection:
-    """The Cat(0,n) state wiring Ti straight down to Bi."""
-    return new_connection(0, n, n, [(("T", i), ("B", i)) for i in range(1, n + 1)])
+    """The Cat(0,n) state wiring Ti (position i-1) down to Bi (position 2n-i)."""
+    if n < 0:
+        raise ValueError(f"negative grid size in (0, {n}, {n})")
+    return _from_mate(0, n, n, range(2 * n - 1, -1, -1))
 
 
 def enumerate_catalan(m: int, n: int) -> Iterator[Connection]:
     """Yield every Catalan state of Cat(m,n) in a fixed lexicographic order.
 
     The order sorts by the canonical pair list under the clockwise position
-    encoding; the count is the Catalan number of m+n.
+    encoding: position lo meets each later position k it can, in turn, and
+    [lo+1, k) and [k+1, hi) are matched alike; the count is Catalan(m+n).
     """
-    points = boundary_points(m, n, n)
+    if min(m, n) < 0:
+        raise ValueError(f"negative grid size in ({m}, {n}, {n})")
+    mate = [0] * (2 * (m + n))
 
-    def match(ps: list[Point]) -> Iterator[list[Pair]]:
-        if not ps:
-            yield []
+    def match(lo: int, hi: int) -> Iterator[None]:  # fill mate on [lo, hi)
+        if lo == hi:
+            yield
             return
-        first = ps[0]
-        for k in range(1, len(ps), 2):
-            for inside in match(ps[1:k]):
-                for outside in match(ps[k + 1 :]):
-                    yield [(first, ps[k])] + inside + outside
+        for k in range(lo + 1, hi, 2):
+            mate[lo], mate[k] = k, lo
+            for _ in match(lo + 1, k):
+                yield from match(k + 1, hi)
 
-    for pairing in match(points):
-        yield new_connection(m, n, n, pairing)
+    for _ in match(0, len(mate)):
+        yield _from_mate(m, n, n, mate)
 
 
 def coordinate(p: Point, m: int, n: int) -> int:
@@ -309,18 +316,14 @@ class StateClass(NamedTuple):
 class BoundaryView(NamedTuple):
     """Boundary data of one connection beyond its ``mate`` (see :func:`view`).
 
-    ``points`` and ``pos`` are shared by every connection of one shape.
-    ``pair[k]`` is the index in ``C.pairs`` of the pair at clockwise
-    position k, ``levels[r]`` the side-walk levels of pair r, and
-    ``horizontal[i]`` and ``vertical[j]`` count the arcs crossing cut lines
-    i and j.  ``levels`` and ``vertical`` are None unless the connection is
-    a Catalan state.
+    ``levels`` holds a pair ``(k, js)`` for each arc that has side-walk
+    levels ``js``: the arcs whose ends are clockwise neighbours, k the
+    clockwise-earlier end, in clockwise order.  ``horizontal[i]`` and
+    ``vertical[j]`` count the arcs crossing cut lines i and j.  ``levels``
+    and ``vertical`` are None unless the connection is a Catalan state.
     """
 
-    points: tuple[Point, ...]
-    pos: dict[Point, int]
-    pair: tuple[int, ...]
-    levels: Optional[tuple[tuple[int, ...], ...]]
+    levels: Optional[tuple[tuple[int, tuple[int, ...]], ...]]
     census: StateClass
     horizontal: tuple[int, ...]
     vertical: Optional[tuple[int, ...]]
@@ -360,26 +363,20 @@ def _cut_counts(mate: tuple[int, ...], a: int, b: int, lines: int) -> tuple[int,
 def view(C: Connection) -> BoundaryView:
     """The clockwise boundary view of C (shared between callers, so read only)."""
     m, n_t, mate = C.m, C.n_t, C.mate
-    points, pos = _shape(m, n_t, C.n_b)[:2]
-    pair = [0] * len(points)
-    for r, (p, q) in enumerate(C.pairs):
-        pair[pos[p]] = pair[pos[q]] = r
     levels = vertical = None
     if C.is_catalan:
         # an arc has a level only where its ends are clockwise neighbours
-        step, N = _side_walks(m, n_t)[2], len(points)
-        found = [()] * len(C.pairs)
-        for k in range(N):
-            if mate[k] == (k + 1) % N:
-                found[pair[k]] = step[k]
-        levels = tuple(found)
+        # (the one arc of a two-point state counts once, from 0)
+        step, N = _side_walks(m, n_t)[2], len(mate)
+        ends = (k for k in range(N) if mate[k] == (k + 1) % N != k - 1)
+        levels = tuple((k, step[k]) for k in ends if step[k])
         vertical = _cut_counts(mate, *_cut(C, "vertical", 0), n_t)
-    kinds = [p[0] + q[0] for p, q in C.pairs]  # canonical pairs list a T end first
+    points = _shape(m, n_t, C.n_b)[0]
+    # T comes first clockwise, so a top-to-bottom arc reads "TB"
+    kinds = [points[k][0] + points[j][0] for k, j in enumerate(mate) if k < j]
     census = StateClass(*(kinds.count(k) for k in ("TT", "BB", "LL", "RR", "TB")))
     horizontal = _cut_counts(mate, *_cut(C, "horizontal", 0), m)
-    return BoundaryView(
-        points, pos, tuple(pair), levels, census, horizontal, vertical
-    )
+    return BoundaryView(levels, census, horizontal, vertical)
 
 
 def line_intersections(C: Connection, orientation: str, i: int) -> int:
@@ -568,12 +565,15 @@ def tau_shift(C: Connection, t: int) -> Connection:
 # -- arc removal ----------------------------------------------------------
 
 
-def _find_pair(C: Connection, c) -> Pair:
-    want = frozenset(c)
-    for pr in C.pairs:
-        if frozenset(pr) == want:
-            return pr
-    raise ValueError("arc not in state")
+def _arc(C: Connection, c) -> tuple[int, int]:
+    """The clockwise positions (a < b) of the ends of c, a pair of points
+    in either order; raises ValueError unless c is an arc of C."""
+    pos = _shape(C.m, C.n_t, C.n_b)[1]
+    p, q = c
+    a, b = pos.get(p, -1), pos.get(q, -1)
+    if a < 0 or C.mate[a] != b:  # no position is -1 or its own mate
+        raise ValueError("arc not in state")
+    return (a, b) if a < b else (b, a)
 
 
 def remove_arc(C: Connection, c) -> Connection:
@@ -587,15 +587,14 @@ def remove_arc(C: Connection, c) -> Connection:
     n, m = C.n, C.m
     if m == 0:
         raise ValueError("no rows left to absorb a removal")
-    c = _find_pair(C, c)
+    ends = _arc(C, c)
     if not is_proper_arc(C, c):
         raise ValueError("arc is not proper")
-    pos = view(C).pos
     if "B" in (c[0][0], c[1][0]):
         start, at = n, n
     else:
         start, at = 2 * n + m, 2 * n + m - 1
-    return _relabel(C, start, m - 1, n, n, at, tuple(sorted((pos[c[0]], pos[c[1]]))))
+    return _relabel(C, start, m - 1, n, n, at, ends)
 
 
 # -- extended labels and removability -------------------------------------
@@ -611,14 +610,14 @@ def extended_labels(C: Connection, c) -> tuple[int, int]:
     the other end.  Top-to-bottom strands and side returns are rejected.
     """
     m, n = C.m, C.n
-    c = _find_pair(C, c)
+    ends = _arc(C, c)
     if not is_proper_arc(C, c):
         raise ValueError("arc has no extended labels")
     x = {"L": 0, "R": n + 1}
-    p, q = sorted(c, key=lambda pt: x.get(pt[0], pt[1]))
+    points = _shape(m, n, n)[0]
+    k, j = sorted(ends, key=lambda e: x.get(points[e][0], points[e][1]))
     left, right, _ = _side_walks(m, n)
-    pos = view(C).pos
-    return left[pos[p]], right[pos[q]]
+    return left[k], right[j]
 
 
 @lru_cache(maxsize=256)
@@ -645,7 +644,8 @@ def _side_walks(m: int, n: int) -> tuple[list, list, list]:
 
 
 def _removable(C: Connection, candidates) -> list[Pair]:
-    """The removable arcs among ``candidates`` (pairs of C), in their order.
+    """The removable arcs among ``candidates``, in their order; raises
+    ValueError for a candidate that is not an arc of C.
 
     An arc c splits the other arcs into those strictly inside its clockwise
     interval and those outside.  The inside is c's bottom side when c has a
@@ -656,13 +656,12 @@ def _removable(C: Connection, candidates) -> list[Pair]:
     removable at m=0).
     """
     m, n = C.m, C.n
-    v = view(C)
-    levels = [(v.pos[arc[0]], js) for arc, js in zip(C.pairs, v.levels) if js]
+    levels = view(C).levels
     out = []
     for c in candidates:
+        a, b = _arc(C, c)
         if not is_proper_arc(C, c):
             continue
-        a, b = sorted((v.pos[c[0]], v.pos[c[1]]))
         inside_is_bottom = "B" in (c[0][0], c[1][0]) or a < n + m <= b
         top, bottom = 0, m
         for k, js in levels:
@@ -685,7 +684,7 @@ def is_removable(C: Connection, c) -> bool:
     some level j0 sits on c's top side, everything below on its bottom
     side.
     """
-    return C.m > 0 and bool(_removable(C, [_find_pair(C, c)]))
+    return C.m > 0 and bool(_removable(C, [c]))
 
 
 def find_removable_arcs(C: Connection) -> list[Pair]:

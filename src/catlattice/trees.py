@@ -28,6 +28,7 @@ from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from .laurent import Laurent, ONE, ZERO, add, monomial_shift, mul
+from .states import _shape, classify
 
 #: Child order used when a tree is built from a state: word order
 #: (left-to-right along the unfolded top).  Flipping mirrors every level.
@@ -302,6 +303,8 @@ def _plucking(t: Node) -> Laurent:
     read only)."""
     if not t.children:
         return dict(ONE)
+    if t.leaves == 1:  # a path: its leaf plucks down to the root, or never
+        return dict(ONE if t.hi == 1 else ZERO)
     split = find_splitting_subtree(t)
     if split is not None:
         return mul(
@@ -332,13 +335,11 @@ def tree_from_state(C) -> Node:
     enclosing it, keeping word order.  A leaf arch that was a side return
     of the original state starts with delay equal to its lower end's index.
     """
-    from .states import classify, view
-
     n = C.n
     if classify(C).bottom_returns:
         raise ValueError("state has bottom returns")
     m = C.m
-    points, mate = view(C).points, C.mate
+    points, mate = _shape(m, n, n)[0], C.mate
     first, size = 2 * n + m, 2 * m + n  # L_m's clockwise position; word length
 
     # arches by word position of their left end, grouped into a nesting

@@ -2,10 +2,10 @@
 
 Cut-line counts, the arc census, side-walk levels, removable arcs, local
 families, the symmetries, the tau-shifts, arc removal, the tree of a state
-and extended labels are all read off one clockwise view of a state
-(``states.view``: its points in ``boundary_points`` order, each point's
-partner position, the side-walk levels, the census and the cut-line
-counts).  The functions below are the earlier direct definitions, kept
+and extended labels are all read off a state's clockwise partner array
+``mate`` and one view of it (``states.view``: the side-walk levels keyed
+by position, the census and the cut-line counts).  The functions below
+are the earlier direct definitions, kept
 literally as references: a region set per cut line, a census loop over
 the pairs, a point-by-point index on each side walk, a token list with
 corner sentinels for the two sides of an arc, a scan of every arc for
@@ -14,7 +14,8 @@ half turn, the quarter turn and the tau-shifts, arc removal through the
 half turn and the side-to-top shifts, the tree read off the fully shifted
 state, and one extended-label branch per pair of sides.  They are
 compared with the library on every state with m + n <= 8 and on seeded
-random states of Cat(5,6) and Cat(6,6).
+random states of Cat(5,6) and Cat(6,6).  The references that read the
+view's former point fields get them from ``pair_view``.
 
 ``ref_new_connection`` is the earlier validator over point pairs (a
 pairwise crossing scan and a sort by reading rank), compared with
@@ -23,10 +24,13 @@ pairwise crossing scan and a sort by reading rank), compared with
 point of each sibling span added to an inside set and a side set, and the
 levels of every arc re-read per interval), compared with
 ``iter_vertical_factorizations`` on every state with mn <= 8 and on seeded
-random states up to Cat(7,7).
+random states up to Cat(7,7).  ``ref_enumerate_catalan`` is the earlier
+enumeration, a recursion over point lists, and ``_find_pair`` the earlier
+scan for a named arc.
 """
 
 import random
+from typing import Iterator, NamedTuple
 
 import pytest
 
@@ -38,7 +42,6 @@ from catlattice.states import (
     Connection,
     Pair,
     Point,
-    _find_pair,
     _point_text,
     _rank,
     _shape,
@@ -51,6 +54,59 @@ from catlattice.trees import CHILDREN_LEFT_TO_RIGHT, Node
 
 
 # -- reference definitions ------------------------------------------------------
+
+
+class PairView(NamedTuple):
+    """The view's former point fields: the points in ``boundary_points``
+    order, ``pair[k]`` the index in ``C.pairs`` of the pair at clockwise
+    position k, and ``levels[r]`` the side-walk levels of pair r."""
+
+    points: tuple[Point, ...]
+    pair: tuple[int, ...]
+    levels: tuple[tuple[int, ...], ...]
+
+
+def pair_view(C) -> PairView:
+    """The former point fields, derived from ``_shape`` and the position-keyed
+    levels of ``states.view``."""
+    points, pos = _shape(C.m, C.n_t, C.n_b)[:2]
+    pair = [0] * len(points)
+    for r, (p, q) in enumerate(C.pairs):
+        pair[pos[p]] = pair[pos[q]] = r
+    levels = [()] * len(C.pairs)
+    for k, js in S.view(C).levels:
+        levels[pair[k]] = js
+    return PairView(points, tuple(pair), tuple(levels))
+
+
+def _find_pair(C: Connection, c) -> Pair:
+    want = frozenset(c)
+    for pr in C.pairs:
+        if frozenset(pr) == want:
+            return pr
+    raise ValueError("arc not in state")
+
+
+def ref_enumerate_catalan(m: int, n: int) -> Iterator[Connection]:
+    """Yield every Catalan state of Cat(m,n) in a fixed lexicographic order.
+
+    The order sorts by the canonical pair list under the clockwise position
+    encoding; the count is the Catalan number of m+n.
+    """
+    points = boundary_points(m, n, n)
+
+    def match(ps: list[Point]) -> Iterator[list[Pair]]:
+        if not ps:
+            yield []
+            return
+        first = ps[0]
+        for k in range(1, len(ps), 2):
+            for inside in match(ps[1:k]):
+                for outside in match(ps[k + 1 :]):
+                    yield [(first, ps[k])] + inside + outside
+
+    for pairing in match(points):
+        yield new_connection(m, n, n, pairing)
 
 
 def ref_line_intersections(C, orientation, i):
@@ -483,7 +539,7 @@ def ref_sibling_chain_factorizations(C) -> list:
     collecting its yields in a list and the module prefixes."""
     out = []
     m, N = C.m, 2 * (C.m + C.n)
-    v = S.view(C)
+    v = pair_view(C)
     pts, mate, levels = v.points, C.mate, v.levels
     for start in range(N):
         inside, sides, length = set(), set(), 0
@@ -570,9 +626,14 @@ def check_cuts_and_census(C):
 def check_state(C, each_arc=True):
     m, n = C.m, C.n
     check_cuts_and_census(C)
-    assert [set(js) for js in S.view(C).levels] == [
+    assert [set(js) for js in pair_view(C).levels] == [
         ref_adjacent_descriptions(arc, m, n) for arc in C.pairs
     ], S.render_state(C)
+    # one entry per arc with levels, keyed by its clockwise-earlier end
+    ends = [k for k, _ in S.view(C).levels]
+    assert ends == sorted(set(ends)), S.render_state(C)
+    assert len({pair_view(C).pair[k] for k in ends}) == len(ends)
+    assert all(C.mate[k] == (k + 1) % len(C.mate) for k in ends)
     assert S.is_realizable(C) == ref_is_realizable(C), S.render_state(C)
     removable = [arc for arc in C.pairs if ref_is_removable(C, arc)]
     assert S.find_removable_arcs(C) == removable, S.render_state(C)
@@ -769,6 +830,33 @@ def test_family_scan_matches_the_sibling_chain_reference():
         assert got == ref_sibling_chain_factorizations(C), S.render_state(C)
         families += len(got)
     assert (len(states), families) == (14642, 24640)
+
+
+def test_position_enumeration_matches_the_point_recursion():
+    for total in range(9):
+        for m in range(total + 1):
+            got = list(S.enumerate_catalan(m, total - m))
+            assert got == list(ref_enumerate_catalan(m, total - m)), (m, total - m)
+
+
+def test_boundary_questions_leave_the_pairs_underived():
+    S.view.cache_clear()  # a cached view would build nothing
+    C = S._from_mate(2, 3, 3, (9, 2, 1, 8, 5, 4, 7, 6, 3, 0))
+    got = (
+        S.is_realizable(C),
+        S.classify(C),
+        S.line_intersections(C, "horizontal", 1),
+        S.is_vertically_decomposable(C),
+    )
+    assert "pairs" not in vars(C)
+    D = S.parse_state("cat(2,3): T1-L1, T2-T3, L2-R1, R2-B3, B1-B2")
+    assert D == C
+    assert got == (
+        ref_is_realizable(D),
+        ref_classify(D),
+        ref_line_intersections(D, "horizontal", 1),
+        None,
+    )
 
 
 def test_removability_of_a_named_arc_form():

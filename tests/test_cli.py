@@ -152,13 +152,21 @@ def test_plucking_command():
     assert bad.stderr.startswith("error: unbalanced")
 
 
-@pytest.mark.parametrize("depth", [500, 3000])
+@pytest.mark.parametrize("depth", [3000])
 def test_deep_tree_exits_1_without_a_traceback(depth):
     deep = "(" * depth + ")" * depth
     for r in (run("plucking", deep), run("plucking", "-", stdin=deep + "\n")):
         assert r.returncode == 1
         assert r.stdout == ""
         assert r.stderr == "error: input nests too deeply\n"
+
+
+def test_deep_path_plucks_to_one():
+    # parsing still recurses, but a one-leaf tree is answered without plucking
+    deep = "(" * 500 + ")" * 500
+    for r in (run("plucking", deep), run("plucking", "-", stdin=deep + "\n")):
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "1\n"
 
 
 def test_beta_and_maxseq_commands():

@@ -244,6 +244,22 @@ def test_find_pair_unknown_arc():
         S.extended_labels(C, (("T", 1), ("L", 1)))
 
 
+def test_arc_lookup_takes_either_order_and_rejects_non_arcs():
+    C = S.parse_state("cat(2,2): T1-T2, L1-B2, L2-B1, R1-R2")
+    arc = (("L", 1), ("B", 2))
+    removed = S.remove_arc(C, arc)
+    for c in (arc, arc[::-1]):
+        assert S.extended_labels(C, c) == (1, 3)
+        assert S.is_removable(C, c)
+        assert S.remove_arc(C, c) == removed
+    # an unknown point on either end, a self pair, and two points not mates
+    for c in [(("T", 9), ("T", 1)), (("T", 1), ("T", 9)), (("T", 1), ("T", 1)),
+              (("T", 1), ("B", 1)), (("L", 1), ("B", 1))]:
+        for ask in (S.extended_labels, S.remove_arc, S.is_removable):
+            with pytest.raises(ValueError, match="arc not in state"):
+                ask(C, c)
+
+
 def test_extended_labels_cases():
     C = S.parse_state("cat(2,2): T1-T2, L1-B2, L2-B1, R1-R2")
     assert S.extended_labels(C, (("T", 1), ("T", 2))) == (0, 0)

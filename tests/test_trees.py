@@ -125,6 +125,21 @@ def test_path_tree():
     assert T.plucking(T.path_tree(7)) == L.ONE
 
 
+def test_one_leaf_trees_are_answered_without_plucking():
+    # a path plucks its leaf down to the root (Q = 1) unless the leaf waits
+    for depth in range(6):
+        for delay in (1, 2, 3):
+            t = T.Node((), delay)
+            for _ in range(depth):
+                t = T.Node((t,))
+            assert T.plucking(t) == plucking_by_definition(t), T.render_tree(t)
+    waiting = T.Node((), 3)
+    for _ in range(5000):  # far past the recursion limit
+        waiting = T.Node((waiting,))
+    assert T.plucking(T.path_tree(5000)) == L.ONE
+    assert T.plucking(waiting) == L.ZERO
+
+
 def test_subtree_at_and_mirror():
     t = T.parse_tree("((())())")
     assert T.subtree_at(t, ()) == t
