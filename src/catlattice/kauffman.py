@@ -10,12 +10,22 @@ reading order, two smoothings each.  Its state is the frontier between
 visited and unvisited crossings -- n column ports plus one horizontal
 port, each holding its mate's slot index or the code of the finished
 boundary point its strand ends at -- together with the strands already
-closed between finished points.  ``bracket_table`` keeps every frontier;
-``oracle_coefficient`` looks a state's key up in the cached fold of its
-shape; ``bracket_coefficient_at`` drops the frontiers that can no longer
-end at its target, and keeps its recent answers in a bounded per-state
-cache (``_pruned_fold``), since local-family companions repeat.
+closed between finished points, one bit per pair of codes.
+``bracket_table`` keeps every frontier; ``oracle_coefficient`` looks a
+state's key up in the cached fold of its shape; ``bracket_coefficient_at``
+drops the frontiers that can no longer end at its target, and keeps its
+recent answers in a bounded cache (``_pruned_fold``), keyed by the state
+and the smoothing convention, since local-family companions repeat.
 ``bracket_table_by_enumeration`` is the 2^(mn) sum.
+
+Each fold weight is one int.  Multiplied by A^3 per crossing, a weight
+after t crossings is a polynomial in A^2 of degree at most 2t; slot s of
+K = m*n + 2 bits holds the coefficient of A^(2s - 3t), a balanced digit.
+No coefficient exceeds 2^(mn) in size, so K bits decode exactly (see
+``_fold``).  Keys and packed weights do not depend on
+``POSITIVE_JOINS_EAST``: a weight is decoded (``_unpack``) only where it
+leaves the fold, and clearing the flag negates every exponent, as a
+quarter turn of the diagram does.
 """
 
 from __future__ import annotations
@@ -24,16 +34,7 @@ import os
 from functools import lru_cache
 from typing import NamedTuple
 
-from .laurent import (
-    Laurent,
-    ONE,
-    ZERO,
-    add,
-    monomial,
-    monomial_shift,
-    mul,
-    substitute_power,
-)
+from .laurent import Laurent, ZERO, add, monomial, mul
 from .states import (
     Connection,
     Point,
@@ -152,21 +153,6 @@ def smooth(grid: MarkerGrid) -> Resolution:
     return Resolution(new_connection(m, n, n, pairs), loops)
 
 
-def _add_product(table: dict, key, w: Laurent, factor: Laurent) -> None:
-    """table[key] += w * factor, in place, dropping zero coefficients."""
-    acc = table.get(key)
-    if acc is None:
-        acc = table[key] = {}
-    for e1, c1 in w.items():
-        for e2, c2 in factor.items():
-            e = e1 + e2
-            s = acc.get(e, 0) + c1 * c2
-            if s:
-                acc[e] = s
-            else:
-                del acc[e]
-
-
 def _points(m: int, n: int) -> list[Point]:
     """Finished boundary points in fold order; ``points[k]`` has code -1 - k."""
     points: list[Point] = [("T", j) for j in range(1, n + 1)]
@@ -183,35 +169,52 @@ def _fold(m: int, n: int, allowed=None) -> dict:
     row.  A slot holds the index of its mate slot when its strand ends on
     the frontier, or the negative code ``-1 - k`` of the finished boundary
     point ``_points(m, n)[k]`` its strand ends at.  Strands with both ends on
-    finished points are frozen: a sorted tuple of (low, high) code pairs.
-    The key (slots, frozen) carries the summed weight of all marker
-    choices so far that lead to it.
+    finished points are frozen: an int with one bit per code pair, the
+    bit ``_codes(m, n)[2][a][b]`` for codes a and b.  The key
+    (slots, frozen) carries the summed weight of all marker choices so far
+    that lead to it.
 
     Each cell takes two branches: north joins east and south joins west
-    (weight A under ``POSITIVE_JOINS_EAST``), or north joins west and
-    south joins east (weight A^-1), which closes a loop when north and west
-    are mates.  Opening row i puts L_i in slot n; closing it ends slot n's
-    strand at R_i.  With ``allowed`` given, a branch that would freeze a
-    pair outside it is dropped.
+    (weight A), or north joins west and south joins east (weight A^-1),
+    which closes a loop when north and west are mates; then the two
+    branches meet at one key with weight A + A^-1 (-A^2 - A^-2) = -A^-3.
+    Every weight is kept multiplied by A^3 per cell, so the three branch
+    weights are A^4, A^2 and -1, and after t cells a weight is a
+    polynomial in A^2.  It is packed into one int, K = m*n + 2 bits per
+    slot: slot s holds the coefficient of A^(2s - 3t), so the branches
+    shift by 2K, shift by K and negate.  Each cell at most doubles the
+    sum of the absolute coefficients of all weights (a branch weight is a
+    single monomial), so no coefficient exceeds 2^(mn) < 2^(K-1) in size
+    and the balanced slots decode exactly (``_unpack``).  Opening row i
+    puts L_i in slot n; closing it ends slot n's strand at R_i.  With
+    ``allowed`` given, a bitmask of code pairs, a branch that would freeze
+    a pair outside it is dropped.
 
-    OUTPUT: {(columns, frozen): weight} after the last row, where
+    Keys and weights do not depend on ``POSITIVE_JOINS_EAST``: the flag
+    swaps A and A^-1, which ``_unpack`` applies.
+
+    OUTPUT: {(columns, frozen): packed weight} after the last row, where
     ``columns`` holds the n column slots that end at B_1..B_n.
     """
-    e = 1 if POSITIVE_JOINS_EAST else -1
-    ne, nw, nw_loop = {e: 1}, {-e: 1}, monomial_shift(LOOP_WEIGHT, -e)
-    code = {p: -1 - k for k, p in enumerate(_points(m, n))}
+    if allowed is None:
+        allowed = -1  # every bit set
+    K = m * n + 2
+    K2 = 2 * K
+    bits = _codes(m, n)[2]
     h = n
+    code = {p: -1 - k for k, p in enumerate(_points(m, n))}
     start = tuple(code[("T", j)] for j in range(1, n + 1))
     start += (code[("L", 1)],) if m else ()
-    table: dict = {(start, ()): dict(ONE)}
+    table: dict = {(start, 0): 1}
     for i in range(1, m + 1):
         for c in range(n):
             nxt: dict = {}
-            for (slots, frozen), w in table.items():
+            get = nxt.get
+            for key, w in table.items():
+                slots, frozen = key
                 vn, vw = slots[c], slots[h]
                 if vn == h:  # north and west are mates
-                    _add_product(nxt, (slots, frozen), w, ne)
-                    _add_product(nxt, (slots, frozen), w, nw_loop)
+                    nxt[key] = get(key, 0) - w
                     continue
                 s = list(slots)
                 s[c], s[h] = vw, vn
@@ -219,7 +222,8 @@ def _fold(m: int, n: int, allowed=None) -> dict:
                     s[vn] = h
                 if vw >= 0:
                     s[vw] = c
-                _add_product(nxt, (tuple(s), frozen), w, ne)
+                key = (tuple(s), frozen)
+                nxt[key] = get(key, 0) + (w << K2)
                 s = list(slots)
                 s[c], s[h] = h, c
                 if vn >= 0:
@@ -229,28 +233,50 @@ def _fold(m: int, n: int, allowed=None) -> dict:
                 elif vw >= 0:
                     s[vw] = vn
                 else:
-                    pair = (vn, vw) if vn < vw else (vw, vn)
-                    if allowed is not None and pair not in allowed:
+                    bit = bits[vn][vw]
+                    if not bit & allowed:
                         continue
-                    frozen = tuple(sorted(frozen + (pair,)))
-                _add_product(nxt, (tuple(s), frozen), w, nw)
+                    frozen |= bit
+                key = (tuple(s), frozen)
+                nxt[key] = get(key, 0) + (w << K)
             table = nxt
         right = code[("R", i)]  # the lowest code so far
         opened = (code[("L", i + 1)],) if i < m else ()
         nxt = {}
+        get = nxt.get
         for (slots, frozen), w in table.items():
             v = slots[h]
             cols = list(slots[:h])
             if v >= 0:
                 cols[v] = right
             else:
-                pair = (right, v)
-                if allowed is not None and pair not in allowed:
+                bit = bits[right][v]
+                if not bit & allowed:
                     continue
-                frozen = tuple(sorted(frozen + (pair,)))
-            _add_product(nxt, (tuple(cols) + opened, frozen), w, ONE)
+                frozen |= bit
+            key = (tuple(cols) + opened, frozen)
+            nxt[key] = get(key, 0) + w
         table = nxt
     return {k: w for k, w in table.items() if w}
+
+
+def _unpack(w: int, m: int, n: int, positive: bool) -> Laurent:
+    """The Laurent polynomial of a packed m x n fold weight (see ``_fold``):
+    slot s is the coefficient of A^(2s - 3mn), or of A^(3mn - 2s) unless
+    ``positive`` (a +1 marker joining north-east, with no quarter turn)."""
+    K = m * n + 2
+    half, full, digit = 1 << (K - 1), 1 << K, (1 << K) - 1
+    e, step = (-3 * m * n, 2) if positive else (3 * m * n, -2)
+    out: Laurent = {}
+    while w:
+        c = w & digit
+        if c >= half:
+            c -= full
+        if c:
+            out[e] = c
+        w = (w - c) >> K
+        e += step
+    return out
 
 
 def bracket_table(m: int, n: int, budget_bits=None) -> dict[Connection, Laurent]:
@@ -260,16 +286,23 @@ def bracket_table(m: int, n: int, budget_bits=None) -> dict[Connection, Laurent]
     ``_fold``): partial matchings accumulate their total weight, and loops
     closed at a crossing contribute the loop weight.  This regroups the
     plain sum over all marker grids term by term, so it agrees exactly
-    with enumeration.  Each final frontier becomes one Connection.
+    with enumeration.  Each final frontier becomes one Connection, and
+    each packed weight one Laurent polynomial.
     """
     _check_budget(m, n, budget_bits)
-    codes, where = _codes(m, n)
+    codes, where, bits = _codes(m, n)
+    pair = {bits[a][b]: (a, b) for a in where for b in where if a < b < 0}
     table: dict[Connection, Laurent] = {}
     for (cols, frozen), w in _fold(m, n).items():
+        ends = list(enumerate(cols))
+        while frozen:
+            low = frozen & -frozen
+            ends.append(pair[low])
+            frozen ^= low
         mate = [0] * len(codes)
-        for a, b in frozen + tuple(enumerate(cols)):
+        for a, b in ends:
             mate[where[a]], mate[where[b]] = where[b], where[a]
-        table[_from_mate(m, n, n, mate)] = w
+        table[_from_mate(m, n, n, mate)] = _unpack(w, m, n, POSITIVE_JOINS_EAST)
     return table
 
 
@@ -299,27 +332,37 @@ def bracket_table_by_enumeration(
 
 
 @lru_cache(maxsize=64)
-def _codes(m: int, n: int) -> tuple[tuple[int, ...], dict[int, int]]:
+def _codes(m: int, n: int) -> tuple:
     """Fold code of each clockwise position of Cat(m, n) -- ``-1 - k`` for
-    ``_points(m, n)[k]``, column j - 1 for B_j -- and the position of each
-    code (read only)."""
-    code = {p: -1 - k for k, p in enumerate(_points(m, n))}
+    ``_points(m, n)[k]``, column j - 1 for B_j -- the position of each
+    code, and the frozen-pair bit of two point codes a and b
+    (``bits[a][b]``, indexed by the negative codes themselves; read
+    only)."""
+    points = _points(m, n)
+    code = {p: -1 - k for k, p in enumerate(points)}
     codes = tuple(code.get(p, p[1] - 1) for p in boundary_points(m, n, n))
-    return codes, {c: k for k, c in enumerate(codes)}
+    P = len(points)
+    bits = [[0] * P for _ in range(P)]
+    i = 0
+    for a in range(-P, 0):
+        for b in range(a + 1, 0):
+            bits[a][b] = bits[b][a] = 1 << i
+            i += 1
+    return codes, {c: k for k, c in enumerate(codes)}, tuple(map(tuple, bits))
 
 
-def _frontier_key(C: Connection) -> tuple[tuple[int, ...], tuple]:
+def _frontier_key(C: Connection) -> tuple[tuple[int, ...], int]:
     """C as a final frontier key of ``_fold(C.m, C.n)``: (columns, frozen)."""
-    codes = _codes(C.m, C.n)[0]
+    codes, _, bits = _codes(C.m, C.n)
     cols = [0] * C.n
-    frozen = []
+    frozen = 0
     for k, j in enumerate(C.mate):
         a, b = codes[k], codes[j]
         if a >= 0:
             cols[a] = b
-        elif b < 0 and k < j:
-            frozen.append((a, b) if a < b else (b, a))
-    return tuple(cols), tuple(sorted(frozen))
+        elif b < 0:
+            frozen |= bits[a][b]
+    return tuple(cols), frozen
 
 
 # one fold per grid shape; a coefficient stream meets few shapes
@@ -333,7 +376,8 @@ def oracle_coefficient(C: Connection, budget_bits=None) -> Laurent:
     """Reference coefficient of a Catalan state, straight from the bracket:
     its frontier key looked up in the cached full fold of its shape."""
     _check_budget(C.m, C.n, budget_bits)
-    return dict(_shape_fold(C.m, C.n).get(_frontier_key(C), ZERO))
+    w = _shape_fold(C.m, C.n).get(_frontier_key(C), 0)
+    return _unpack(w, C.m, C.n, POSITIVE_JOINS_EAST)
 
 
 def bracket_coefficient_at(C: Connection) -> Laurent:
@@ -355,18 +399,18 @@ def bracket_coefficient_at(C: Connection) -> Laurent:
     """
     if not C.is_catalan:
         raise ValueError("connection is not a Catalan state")
-    return dict(_pruned_fold(C))
+    return dict(_pruned_fold(C, POSITIVE_JOINS_EAST))
 
 
 # local-family companions depend on the arch pattern alone, so a family
 # sweep folds few distinct states many times
 @lru_cache(maxsize=256)
-def _pruned_fold(C: Connection) -> Laurent:
-    """The pruned-fold value of a Catalan state (shared between callers, so
-    read only)."""
+def _pruned_fold(C: Connection, positive_joins_east: bool) -> Laurent:
+    """The pruned-fold value of a Catalan state under the given smoothing
+    convention (shared between callers, so read only)."""
     turned = C.n > C.m
     if turned:
         C = rotate_quarter(C)
     key = _frontier_key(C)
-    value = _fold(C.m, C.n, allowed=set(key[1])).get(key, ZERO)
-    return substitute_power(value, -1) if turned else value
+    w = _fold(C.m, C.n, allowed=key[1]).get(key, 0)
+    return _unpack(w, C.m, C.n, positive_joins_east != turned)

@@ -9,7 +9,14 @@ all +1s then all -1s); ``beta`` is that grid's +1 count and
 from __future__ import annotations
 
 from .kauffman import smooth
-from .states import Connection, classify, coordinate, identity_state, is_realizable
+from .states import (
+    Connection,
+    _shape,
+    classify,
+    coordinate,
+    identity_state,
+    is_realizable,
+)
 
 
 def _check(C: Connection) -> None:
@@ -22,9 +29,11 @@ def _check(C: Connection) -> None:
 def _upper_arcs(C: Connection) -> list[tuple[int, int]]:
     """Coordinate pairs (p < q) of the arcs avoiding the bottom edge."""
     m, n = C.m, C.n
+    points = _shape(m, n, n)[0]
     out = []
-    for p, q in C.pairs:
-        if p[0] == "B" or q[0] == "B":
+    for k, j in enumerate(C.mate):
+        p, q = points[k], points[j]
+        if k > j or p[0] == "B" or q[0] == "B":
             continue
         a, b = coordinate(p, m, n), coordinate(q, m, n)
         out.append((a, b) if a < b else (b, a))

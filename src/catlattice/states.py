@@ -643,9 +643,9 @@ def _side_walks(m: int, n: int) -> tuple[list, list, list]:
     return left, right, step
 
 
-def _removable(C: Connection, candidates) -> list[Pair]:
-    """The removable arcs among ``candidates``, in their order; raises
-    ValueError for a candidate that is not an arc of C.
+def _removable(C: Connection, arcs) -> list[tuple[int, int]]:
+    """The removable arcs among ``arcs``, each the clockwise positions of
+    the two ends of an arc of C in either order, in their order.
 
     An arc c splits the other arcs into those strictly inside its clockwise
     interval and those outside.  The inside is c's bottom side when c has a
@@ -656,10 +656,12 @@ def _removable(C: Connection, candidates) -> list[Pair]:
     removable at m=0).
     """
     m, n = C.m, C.n
+    points = _shape(m, n, n)[0]
     levels = view(C).levels
     out = []
-    for c in candidates:
-        a, b = _arc(C, c)
+    for arc in arcs:
+        a, b = sorted(arc)
+        c = (points[a], points[b])
         if not is_proper_arc(C, c):
             continue
         inside_is_bottom = "B" in (c[0][0], c[1][0]) or a < n + m <= b
@@ -672,7 +674,7 @@ def _removable(C: Connection, candidates) -> list[Pair]:
             else:
                 top = max(top, *js)
         if top < bottom:
-            out.append(c)
+            out.append(arc)
     return out
 
 
@@ -684,12 +686,14 @@ def is_removable(C: Connection, c) -> bool:
     some level j0 sits on c's top side, everything below on its bottom
     side.
     """
-    return C.m > 0 and bool(_removable(C, [c]))
+    return C.m > 0 and bool(_removable(C, [_arc(C, c)]))
 
 
 def find_removable_arcs(C: Connection) -> list[Pair]:
     """All removable arcs, in canonical pair order."""
-    return _removable(C, C.pairs)
+    points, _, rank, order = _shape(C.m, C.n, C.n)
+    ends = [(k, C.mate[k]) for k in order if rank[k] < rank[C.mate[k]]]
+    return [(points[k], points[j]) for k, j in _removable(C, ends)]
 
 
 # -- saturated horizontal lines -------------------------------------------

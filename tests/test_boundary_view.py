@@ -35,6 +35,7 @@ from typing import Iterator, NamedTuple
 import pytest
 
 from catlattice import coeff as E
+from catlattice import maxseq as M
 from catlattice import samples
 from catlattice import states as S
 from catlattice import trees as T
@@ -847,6 +848,7 @@ def test_boundary_questions_leave_the_pairs_underived():
         S.classify(C),
         S.line_intersections(C, "horizontal", 1),
         S.is_vertically_decomposable(C),
+        S.find_removable_arcs(C),
     )
     assert "pairs" not in vars(C)
     D = S.parse_state("cat(2,3): T1-L1, T2-T3, L2-R1, R2-B3, B1-B2")
@@ -856,7 +858,14 @@ def test_boundary_questions_leave_the_pairs_underived():
         ref_classify(D),
         ref_line_intersections(D, "horizontal", 1),
         None,
+        [arc for arc in D.pairs if ref_is_removable(D, arc)],
     )
+    # beta needs a realizable state without bottom returns
+    F = S._from_mate(2, 2, 2, (7, 2, 1, 4, 3, 6, 5, 0))
+    got = (M.beta(F), M.max_sequence(F))
+    assert "pairs" not in vars(F)
+    assert F == S.parse_state("cat(2,2): T1-L1, T2-R1, L2-B1, R2-B2")
+    assert got == (3, (2, 1))
 
 
 def test_removability_of_a_named_arc_form():

@@ -1,0 +1,102 @@
+"""The packed marker-grid fold against the dict-weight fold it replaced.
+
+``kauffman._fold`` keeps each weight as one int (a polynomial in A^2,
+K = m*n + 2 bits per slot) and each set of frozen pairs as one bitmask;
+``fold_reference._fold`` is the former fold, with one Laurent dict per
+weight and a sorted tuple of frozen pairs.  Every final entry must decode
+to the same polynomial, under both smoothing conventions, for full and
+for target-pruned folds.
+"""
+
+import random
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import fold_reference as R
+from catlattice import kauffman as K
+from catlattice import states as S
+from test_boundary_view import random_state
+
+SHAPES = [(m, n) for m in range(6) for n in range(6) if m * n <= 12]
+SHAPES += [(4, 5), (5, 4)]
+
+
+def mask_of(m, n, frozen):
+    bits = K._codes(m, n)[2]
+    mask = 0
+    for a, b in frozen:
+        mask |= bits[a][b]
+    return mask
+
+
+def pairs_of(m, n, mask):
+    bits = K._codes(m, n)[2]
+    P = len(bits)
+    return {(a, b) for a in range(-P, 0) for b in range(a + 1, 0) if mask & bits[a][b]}
+
+
+def decoded(m, n, table, positive):
+    return {key: K._unpack(w, m, n, positive) for key, w in table.items()}
+
+
+def reference(m, n, allowed=None):
+    """The reference fold, its keys re-encoded with frozen bitmasks and its
+    zero entries dropped, as the packed fold drops them."""
+    table = R._fold(m, n, allowed)
+    return {(cols, mask_of(m, n, frozen)): w for (cols, frozen), w in table.items() if w}
+
+
+@pytest.mark.parametrize("positive", [True, False])
+@pytest.mark.parametrize("m, n", SHAPES)
+def test_packed_fold_equals_the_dict_fold(monkeypatch, m, n, positive):
+    monkeypatch.setattr(K, "POSITIVE_JOINS_EAST", positive)
+    got = decoded(m, n, K._fold(m, n), positive)
+    assert got == reference(m, n)
+    # slot s of a weight is A^(2s - 3mn), s = 0..2mn
+    for value in got.values():
+        assert all(-3 * m * n <= e <= m * n for e in value), (m, n, value)
+
+
+def test_pruned_packed_fold_equals_the_dict_fold():
+    rng = random.Random(20261019)
+    for m, n, draws in ((6, 6, 20), (7, 7, 16)):
+        for _ in range(draws):
+            C = random_state(rng, m, n)
+            while not S.is_realizable(C):  # an unrealizable target folds to 0
+                C = random_state(rng, m, n)
+            cols, mask = K._frontier_key(C)
+            got = decoded(m, n, K._fold(m, n, allowed=mask), True)
+            want = reference(m, n, allowed=pairs_of(m, n, mask))
+            assert got == want, C
+            assert got[cols, mask] == K.bracket_coefficient_at(C) != {}
+
+
+@st.composite
+def layers(draw):
+    """One layer's packed slots: (m, n, {slot s: coefficient of A^(2s - 3mn)})
+    with every coefficient within the proven bound 2^(mn)."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    bound = 2 ** (m * n)
+    slots = draw(st.dictionaries(
+        st.integers(0, 2 * m * n), st.integers(-bound, bound), max_size=12
+    ))
+    return m, n, slots
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(layers())
+# all negative, at the bound, from one end of the exponent range to the other
+@example((3, 4, {s: -(2 ** 12) for s in range(25)}))
+# neighbours of opposite sign borrow from each other in the packed int
+@example((3, 4, {s: (-1) ** s * 2 ** 12 for s in range(25)}))
+@example((1, 1, {0: 2, 1: -2, 2: 2}))
+@example((2, 2, {0: -16, 8: 16}))
+@example((1, 1, {}))
+def test_unpack_inverts_packing(layer):
+    m, n, slots = layer
+    K_bits = m * n + 2
+    w = sum(c << (K_bits * s) for s, c in slots.items())
+    want = {2 * s - 3 * m * n: c for s, c in slots.items() if c}
+    assert K._unpack(w, m, n, True) == want
+    assert K._unpack(w, m, n, False) == {-e: c for e, c in want.items()}
