@@ -40,7 +40,7 @@ def _cmd_coeff(args) -> int:
         C = states.parse_state(text)
         if args.method == "oracle":
             value = kauffman.oracle_coefficient(C, args.budget_bits)
-            trace = [engine.TraceStep("oracle", f"m={C.m} n={C.n}", value)]
+            trace = [engine.oracle_step(C, value)]
         else:
             value, trace = engine.coefficient(C, args.budget_bits)
         print(laurent.render(value))

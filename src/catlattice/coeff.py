@@ -40,6 +40,7 @@ from .states import (
     Connection,
     Pair,
     _from_mate,
+    _levels,
     _point_text,
     _rainbow,
     _shape,
@@ -68,6 +69,11 @@ def render_trace(steps) -> str:
         for k, s in enumerate(steps, start=1)
     ]
     return "\n".join(lines)
+
+
+def oracle_step(C: Connection, value: Laurent) -> TraceStep:
+    """The trace step of an oracle answer ``value`` for C."""
+    return TraceStep("oracle", f"{C.m}x{C.n} bracket table", value)
 
 
 def coeff_no_bottom_returns(C: Connection) -> Laurent:
@@ -114,12 +120,15 @@ def iter_vertical_factorizations(C: Connection) -> Iterator[LocalFamily]:
     The closed intervals from a start are its runs of consecutive sibling
     arcs (the arc at k spans k..mate[k] clockwise), grown one span at a
     time.  Only arcs whose ends are clockwise neighbours carry side-walk
-    levels, and such an arc lies inside an interval exactly when one of
-    its ends does.  Yield order is by start, then length.
+    levels (``states._levels``), and such an arc lies inside an interval
+    exactly when one of its ends does.  A family's arcs are read off its
+    positions in reading order, so the scan builds no view and derives no
+    ``C.pairs``.  Yield order is by start, then length.
     """
     m, n, mate = C.m, C.n, C.mate
     N = len(mate)
-    leveled, pos = view(C).levels, _shape(m, n, n)[1]
+    leveled = _levels(C)
+    points, _, rank, order = _shape(m, n, n)
     for start in range(N):
         # R holds positions n..n+m-1 and L 2n+m..N-1: an interval from T or R
         # has points on both sides once it covers position 2n+m, one from B
@@ -142,7 +151,11 @@ def iter_vertical_factorizations(C: Connection) -> Iterator[LocalFamily]:
                 )
                 if any(lo < j < hi for j in foreign):
                     continue
-            arcs = (arc for arc in C.pairs if (pos[arc[0]] - start) % N < length)
+            arcs = (
+                (points[k], points[mate[k]])
+                for k in order
+                if (k - start) % N < length and rank[k] < rank[mate[k]]
+            )
             yield LocalFamily(start, length, tuple(arcs))
 
 
@@ -163,10 +176,21 @@ def _companion(C: Connection, fam: LocalFamily) -> Connection:
     """A local family re-homed in a lam x 2*lam rectangle: the top edge
     carries the family's arch pattern, every bottom point routes to the
     nearest side point: B_i to L_(lam+1-i) and B_(lam+i) to R_i, the
-    rainbows on clockwise positions [2lam, 4lam) and [4lam, 6lam)."""
-    start, length, N = fam.start, fam.length, len(C.mate)
-    top = [(C.mate[(start + k) % N] - start) % N for k in range(length)]
-    wired = _rainbow(top + [0] * (2 * length), length, length)
+    rainbows on clockwise positions [2lam, 4lam) and [4lam, 6lam).  It
+    depends on the arch pattern alone, each partner's offset from the
+    family's start, so it is built once per pattern (``_pattern_companion``)."""
+    start, N = fam.start, len(C.mate)
+    return _pattern_companion(
+        tuple((C.mate[(start + k) % N] - start) % N for k in range(fam.length))
+    )
+
+
+# a family sweep meets few arch patterns many times
+@lru_cache(maxsize=256)
+def _pattern_companion(top: tuple[int, ...]) -> Connection:
+    """The companion of the arch pattern ``top`` (see ``_companion``)."""
+    length = len(top)
+    wired = _rainbow(top + (0,) * (2 * length), length, length)
     return _from_mate(length // 2, length, length, _rainbow(wired, 2 * length, length))
 
 
@@ -263,7 +287,7 @@ def _reduce(C, seen, budget) -> tuple[Laurent, tuple[TraceStep, ...]]:
         return mul(left, right), (split,) + left_steps + right_steps
     if C.m * C.n <= budget:
         value = oracle_coefficient(C, budget)
-        return value, (TraceStep("oracle", f"{C.m}x{C.n} bracket table", value),)
+        return value, (oracle_step(C, value),)
     raise BudgetError(
         f"unreachable within budget: no reduction applies to this "
         f"{C.m}x{C.n} state and its grid exceeds the oracle budget"

@@ -402,8 +402,8 @@ def bracket_coefficient_at(C: Connection) -> Laurent:
     return dict(_pruned_fold(C, POSITIVE_JOINS_EAST))
 
 
-# local-family companions depend on the arch pattern alone, so a family
-# sweep folds few distinct states many times
+# local-family companions depend on the arch pattern alone, and the engine
+# builds one per pattern, so a family sweep asks about few states many times
 @lru_cache(maxsize=256)
 def _pruned_fold(C: Connection, positive_joins_east: bool) -> Laurent:
     """The pruned-fold value of a Catalan state under the given smoothing

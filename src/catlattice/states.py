@@ -24,16 +24,18 @@ text, public arguments and returned pairs, ``_shape`` alone maps them to
 positions, and :func:`_arc` is the one checked lookup of a point pair.
 
 Boundary questions -- cut lines, the arc census, removable arcs, local
-families, the tree of a state -- read ``mate`` and one cached view,
-:func:`view`: the side-walk levels of the arcs that have them, the
-census and the crossing count of every cut line.  The left and right
-side walks are the clockwise order cut at the right and the left side,
-so an arc has a side-walk level only where its ends are clockwise
-neighbours.  A cut line is a stretch [a, b) of the clockwise order, and
-the arcs it crosses are the arcs with exactly one end in the stretch.
-Horizontal cut i (below L_i and R_i) is the stretch [n_t+i, n_t+2m+n_b-i)
--- everything under the line -- and vertical cut j (right of T_j and B_j)
-is [j, 2n+m-j).
+families, the tree of a state -- read ``mate``, one cached view,
+:func:`view` (the census and the crossing count of every cut line), and
+the side-walk levels of the arcs that have them, :func:`_levels`, one
+uncached pass over ``mate`` that the removable-arc and family questions
+make without building the view.  The left and right side walks are the
+clockwise order cut at the right and the left side, so an arc has a
+side-walk level only where its ends are clockwise neighbours.  A cut
+line is a stretch [a, b) of the clockwise order, and the arcs it crosses
+are the arcs with exactly one end in the stretch.  Horizontal cut i
+(below L_i and R_i) is the stretch [n_t+i, n_t+2m+n_b-i) -- everything
+under the line -- and vertical cut j (right of T_j and B_j) is
+[j, 2n+m-j).
 
 Symmetries, tau-shifts and arc removal are relabellings of positions.
 The half turn, the quarter turn and the tau-shifts keep the clockwise
@@ -316,14 +318,11 @@ class StateClass(NamedTuple):
 class BoundaryView(NamedTuple):
     """Boundary data of one connection beyond its ``mate`` (see :func:`view`).
 
-    ``levels`` holds a pair ``(k, js)`` for each arc that has side-walk
-    levels ``js``: the arcs whose ends are clockwise neighbours, k the
-    clockwise-earlier end, in clockwise order.  ``horizontal[i]`` and
-    ``vertical[j]`` count the arcs crossing cut lines i and j.  ``levels``
-    and ``vertical`` are None unless the connection is a Catalan state.
+    ``census`` counts the arcs by the sides of their ends, and
+    ``horizontal[i]`` and ``vertical[j]`` count the arcs crossing cut lines
+    i and j; ``vertical`` is None unless the connection is a Catalan state.
     """
 
-    levels: Optional[tuple[tuple[int, tuple[int, ...]], ...]]
     census: StateClass
     horizontal: tuple[int, ...]
     vertical: Optional[tuple[int, ...]]
@@ -363,20 +362,27 @@ def _cut_counts(mate: tuple[int, ...], a: int, b: int, lines: int) -> tuple[int,
 def view(C: Connection) -> BoundaryView:
     """The clockwise boundary view of C (shared between callers, so read only)."""
     m, n_t, mate = C.m, C.n_t, C.mate
-    levels = vertical = None
+    vertical = None
     if C.is_catalan:
-        # an arc has a level only where its ends are clockwise neighbours
-        # (the one arc of a two-point state counts once, from 0)
-        step, N = _side_walks(m, n_t)[2], len(mate)
-        ends = (k for k in range(N) if mate[k] == (k + 1) % N != k - 1)
-        levels = tuple((k, step[k]) for k in ends if step[k])
         vertical = _cut_counts(mate, *_cut(C, "vertical", 0), n_t)
     points = _shape(m, n_t, C.n_b)[0]
     # T comes first clockwise, so a top-to-bottom arc reads "TB"
     kinds = [points[k][0] + points[j][0] for k, j in enumerate(mate) if k < j]
     census = StateClass(*(kinds.count(k) for k in ("TT", "BB", "LL", "RR", "TB")))
     horizontal = _cut_counts(mate, *_cut(C, "horizontal", 0), m)
-    return BoundaryView(levels, census, horizontal, vertical)
+    return BoundaryView(census, horizontal, vertical)
+
+
+def _levels(C: Connection) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """``(k, js)`` for each arc of a Catalan state that has side-walk levels
+    ``js``: the arcs whose ends are clockwise neighbours, k the
+    clockwise-earlier end, in clockwise order.  Neither cached nor stored
+    on the state: each of its two readers asks once per state."""
+    mate, N = C.mate, len(C.mate)
+    step = _side_walks(C.m, C.n)[2]
+    # the one arc of a two-point state counts once, from 0
+    ends = (k for k in range(N) if mate[k] == (k + 1) % N != k - 1)
+    return tuple((k, step[k]) for k in ends if step[k])
 
 
 def line_intersections(C: Connection, orientation: str, i: int) -> int:
@@ -657,7 +663,7 @@ def _removable(C: Connection, arcs) -> list[tuple[int, int]]:
     """
     m, n = C.m, C.n
     points = _shape(m, n, n)[0]
-    levels = view(C).levels
+    levels = _levels(C)
     out = []
     for arc in arcs:
         a, b = sorted(arc)

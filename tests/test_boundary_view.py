@@ -3,15 +3,15 @@
 Cut-line counts, the arc census, side-walk levels, removable arcs, local
 families, the symmetries, the tau-shifts, arc removal, the tree of a state
 and extended labels are all read off a state's clockwise partner array
-``mate`` and one view of it (``states.view``: the side-walk levels keyed
-by position, the census and the cut-line counts).  The functions below
-are the earlier direct definitions, kept
-literally as references: a region set per cut line, a census loop over
-the pairs, a point-by-point index on each side walk, a token list with
-corner sentinels for the two sides of an arc, a scan of every arc for
-every (start, length) boundary interval, a point map per side for the
-half turn, the quarter turn and the tau-shifts, arc removal through the
-half turn and the side-to-top shifts, the tree read off the fully shifted
+``mate``, one view of it (``states.view``: the census and the cut-line
+counts) and its side-walk levels keyed by position (``states._levels``).
+The functions below are the earlier direct definitions, kept literally as
+references: a region set per cut line, a census loop over the pairs, a
+point-by-point index on each side walk, a token list with corner
+sentinels for the two sides of an arc, a scan of every arc for every
+(start, length) boundary interval, a point map per side for the half
+turn, the quarter turn and the tau-shifts, arc removal through the half
+turn and the side-to-top shifts, the tree read off the fully shifted
 state, and one extended-label branch per pair of sides.  They are
 compared with the library on every state with m + n <= 8 and on seeded
 random states of Cat(5,6) and Cat(6,6).  The references that read the
@@ -24,9 +24,11 @@ pairwise crossing scan and a sort by reading rank), compared with
 point of each sibling span added to an inside set and a side set, and the
 levels of every arc re-read per interval), compared with
 ``iter_vertical_factorizations`` on every state with mn <= 8 and on seeded
-random states up to Cat(7,7).  ``ref_enumerate_catalan`` is the earlier
-enumeration, a recursion over point lists, and ``_find_pair`` the earlier
-scan for a named arc.
+random states up to Cat(7,7); ``ref_companion``, the earlier companion
+built anew for every family, is compared with ``coeff._companion`` on the
+same families.  ``ref_enumerate_catalan`` is the earlier enumeration, a
+recursion over point lists, and ``_find_pair`` the earlier scan for a
+named arc.
 """
 
 import random
@@ -69,13 +71,13 @@ class PairView(NamedTuple):
 
 def pair_view(C) -> PairView:
     """The former point fields, derived from ``_shape`` and the position-keyed
-    levels of ``states.view``."""
+    levels of ``states._levels``."""
     points, pos = _shape(C.m, C.n_t, C.n_b)[:2]
     pair = [0] * len(points)
     for r, (p, q) in enumerate(C.pairs):
         pair[pos[p]] = pair[pos[q]] = r
     levels = [()] * len(C.pairs)
-    for k, js in S.view(C).levels:
+    for k, js in S._levels(C):
         levels[pair[k]] = js
     return PairView(points, tuple(pair), tuple(levels))
 
@@ -86,6 +88,15 @@ def _find_pair(C: Connection, c) -> Pair:
         if frozenset(pr) == want:
             return pr
     raise ValueError("arc not in state")
+
+
+def ref_companion(C: Connection, fam) -> Connection:
+    """The earlier companion of a local family, rebuilt and re-validated for
+    every family, kept literally but for the module prefixes."""
+    start, length, N = fam.start, fam.length, len(C.mate)
+    top = [(C.mate[(start + k) % N] - start) % N for k in range(length)]
+    wired = S._rainbow(top + [0] * (2 * length), length, length)
+    return S._from_mate(length // 2, length, length, S._rainbow(wired, 2 * length, length))
 
 
 def ref_enumerate_catalan(m: int, n: int) -> Iterator[Connection]:
@@ -631,7 +642,7 @@ def check_state(C, each_arc=True):
         ref_adjacent_descriptions(arc, m, n) for arc in C.pairs
     ], S.render_state(C)
     # one entry per arc with levels, keyed by its clockwise-earlier end
-    ends = [k for k, _ in S.view(C).levels]
+    ends = [k for k, _ in S._levels(C)]
     assert ends == sorted(set(ends)), S.render_state(C)
     assert len({pair_view(C).pair[k] for k in ends}) == len(ends)
     assert all(C.mate[k] == (k + 1) % len(C.mate) for k in ends)
@@ -716,12 +727,13 @@ def test_plucking_memo_is_bounded():
     assert T._plucking.cache_info().maxsize is not None
 
 
-def test_view_cache_is_bounded():
-    assert S.view.cache_info().maxsize is not None
-
-
-def test_side_walk_cache_is_bounded():
-    assert S._side_walks.cache_info().maxsize is not None
+@pytest.mark.parametrize(
+    "cache",
+    [S.view, S._side_walks, E._pattern_companion],
+    ids=["view", "side_walks", "pattern_companion"],
+)
+def test_cache_is_bounded(cache):
+    assert cache.cache_info().maxsize is not None
 
 
 @pytest.mark.parametrize(
@@ -829,6 +841,8 @@ def test_family_scan_matches_the_sibling_chain_reference():
     for C in states:
         got = list(E.iter_vertical_factorizations(C))
         assert got == ref_sibling_chain_factorizations(C), S.render_state(C)
+        for fam in got:
+            assert E._companion(C, fam) == ref_companion(C, fam), (C, fam)
         families += len(got)
     assert (len(states), families) == (14642, 24640)
 
@@ -866,6 +880,13 @@ def test_boundary_questions_leave_the_pairs_underived():
     assert "pairs" not in vars(F)
     assert F == S.parse_state("cat(2,2): T1-L1, T2-R1, L2-B1, R2-B2")
     assert got == (3, (2, 1))
+    # the family scan reads the levels alone: no view, no pairs
+    G = S._from_mate(2, 3, 3, (1, 0, 3, 2, 5, 4, 9, 8, 7, 6))
+    misses = S.view.cache_info().misses
+    got = list(E.iter_vertical_factorizations(G))
+    assert "pairs" not in vars(G)
+    assert S.view.cache_info().misses == misses
+    assert len(got) == 2 and got == ref_sibling_chain_factorizations(G)
 
 
 def test_removability_of_a_named_arc_form():

@@ -34,6 +34,14 @@ def test_coeff_trace():
     r = run("coeff", "--trace", "cat(1,2): T1-T2, L1-B1, R1-B2")
     assert r.returncode == 0, r.stderr
     assert r.stdout == "1\nstep 1: tree-formula m=1 n=2 beta=1 factor=1\n"
+    # the oracle method's one step reads like the engine's oracle step
+    r = run("coeff", "--method=oracle", "--trace",
+            "cat(2,2): T1-L1, T2-R1, L2-B1, R2-B2")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == (
+        "A^-2 + A^2\n"
+        "step 1: oracle 2x2 bracket table factor=A^-2 + A^2\n"
+    )
 
 
 def test_coeff_methods_agree():
