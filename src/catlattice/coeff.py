@@ -39,8 +39,9 @@ from .maxseq import beta
 from .states import (
     Connection,
     Pair,
+    _LEVEL_BITS,
     _from_mate,
-    _levels,
+    _level_prefix,
     _point_text,
     _rainbow,
     _shape,
@@ -120,14 +121,15 @@ def iter_vertical_factorizations(C: Connection) -> Iterator[LocalFamily]:
     The closed intervals from a start are its runs of consecutive sibling
     arcs (the arc at k spans k..mate[k] clockwise), grown one span at a
     time.  Only arcs whose ends are clockwise neighbours carry side-walk
-    levels (``states._levels``), and such an arc lies inside an interval
-    exactly when one of its ends does.  A family's arcs are read off its
-    positions in reading order, so the scan builds no view and derives no
-    ``C.pairs``.  Yield order is by start, then length.
+    levels, and such an arc lies inside an interval exactly when one of its
+    ends does: the interval's levels are a difference of two prefix sums
+    (``states._level_prefix``).  A family's arcs are read off its positions
+    in reading order, so the scan builds no view and derives no ``C.pairs``.
+    Yield order is by start, then length.
     """
-    m, n, mate = C.m, C.n, C.mate
+    m, n, mate, D = C.m, C.n, C.mate, _LEVEL_BITS
     N = len(mate)
-    leveled = _levels(C)
+    P = _level_prefix(C)
     points, _, rank, order = _shape(m, n, n)
     for start in range(N):
         # R holds positions n..n+m-1 and L 2n+m..N-1: an interval from T or R
@@ -141,15 +143,15 @@ def iter_vertical_factorizations(C: Connection) -> Iterator[LocalFamily]:
                 break
             if length < 4:
                 continue
-            lam_js = [j for k, js in leveled if (k - start) % N < length for j in js]
-            if lam_js:
-                lo, hi = min(lam_js), max(lam_js)
-                if lo < 0 or hi > m:
-                    continue
-                foreign = (
-                    j for k, js in leveled if (k - start) % N >= length for j in js
-                )
-                if any(lo < j < hi for j in foreign):
+            inside = P[start + length] - P[start]
+            if inside:
+                # the digits of the lowest and highest level, level j at j + n
+                lo = ((inside & -inside).bit_length() - 1) // D
+                hi = (inside.bit_length() - 1) // D
+                if lo < n or hi > m + n:
+                    break  # the inside only grows along a run
+                # a foreign level strictly between lo and hi
+                if (P[N] - inside) % (1 << D * hi) >> D * (lo + 1):
                     continue
             arcs = (
                 (points[k], points[mate[k]])

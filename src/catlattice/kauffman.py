@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
+from itertools import combinations
 from typing import NamedTuple
 
 from .laurent import Laurent, ZERO, add, monomial, mul
@@ -169,8 +170,8 @@ def _fold(m: int, n: int, allowed=None) -> dict:
     row.  A slot holds the index of its mate slot when its strand ends on
     the frontier, or the negative code ``-1 - k`` of the finished boundary
     point ``_points(m, n)[k]`` its strand ends at.  Strands with both ends on
-    finished points are frozen: an int with one bit per code pair, the
-    bit ``_codes(m, n)[2][a][b]`` for codes a and b.  The key
+    finished points are frozen: an int with one bit per code pair, bit
+    number ``_codes(m, n)[2][a][b]`` for codes a and b.  The key
     (slots, frozen) carries the summed weight of all marker choices so far
     that lead to it.
 
@@ -234,9 +235,9 @@ def _fold(m: int, n: int, allowed=None) -> dict:
                     s[vw] = vn
                 else:
                     bit = bits[vn][vw]
-                    if not bit & allowed:
+                    if not allowed >> bit & 1:
                         continue
-                    frozen |= bit
+                    frozen |= 1 << bit
                 key = (tuple(s), frozen)
                 nxt[key] = get(key, 0) + (w << K)
             table = nxt
@@ -251,9 +252,9 @@ def _fold(m: int, n: int, allowed=None) -> dict:
                 cols[v] = right
             else:
                 bit = bits[right][v]
-                if not bit & allowed:
+                if not allowed >> bit & 1:
                     continue
-                frozen |= bit
+                frozen |= 1 << bit
             key = (tuple(cols) + opened, frozen)
             nxt[key] = get(key, 0) + w
         table = nxt
@@ -295,10 +296,7 @@ def bracket_table(m: int, n: int, budget_bits=None) -> dict[Connection, Laurent]
     table: dict[Connection, Laurent] = {}
     for (cols, frozen), w in _fold(m, n).items():
         ends = list(enumerate(cols))
-        while frozen:
-            low = frozen & -frozen
-            ends.append(pair[low])
-            frozen ^= low
+        ends += (pair[i] for i in range(frozen.bit_length()) if frozen >> i & 1)
         mate = [0] * len(codes)
         for a, b in ends:
             mate[where[a]], mate[where[b]] = where[b], where[a]
@@ -335,7 +333,7 @@ def bracket_table_by_enumeration(
 def _codes(m: int, n: int) -> tuple:
     """Fold code of each clockwise position of Cat(m, n) -- ``-1 - k`` for
     ``_points(m, n)[k]``, column j - 1 for B_j -- the position of each
-    code, and the frozen-pair bit of two point codes a and b
+    code, and the index of the frozen-pair bit of two point codes a and b
     (``bits[a][b]``, indexed by the negative codes themselves; read
     only)."""
     points = _points(m, n)
@@ -343,11 +341,8 @@ def _codes(m: int, n: int) -> tuple:
     codes = tuple(code.get(p, p[1] - 1) for p in boundary_points(m, n, n))
     P = len(points)
     bits = [[0] * P for _ in range(P)]
-    i = 0
-    for a in range(-P, 0):
-        for b in range(a + 1, 0):
-            bits[a][b] = bits[b][a] = 1 << i
-            i += 1
+    for i, (a, b) in enumerate(combinations(range(-P, 0), 2)):
+        bits[a][b] = bits[b][a] = i
     return codes, {c: k for k, c in enumerate(codes)}, tuple(map(tuple, bits))
 
 
@@ -361,7 +356,7 @@ def _frontier_key(C: Connection) -> tuple[tuple[int, ...], int]:
         if a >= 0:
             cols[a] = b
         elif b < 0:
-            frozen |= bits[a][b]
+            frozen |= 1 << bits[a][b]
     return tuple(cols), frozen
 
 

@@ -26,16 +26,15 @@ positions, and :func:`_arc` is the one checked lookup of a point pair.
 Boundary questions -- cut lines, the arc census, removable arcs, local
 families, the tree of a state -- read ``mate``, one cached view,
 :func:`view` (the census and the crossing count of every cut line), and
-the side-walk levels of the arcs that have them, :func:`_levels`, one
-uncached pass over ``mate`` that the removable-arc and family questions
-make without building the view.  The left and right side walks are the
-clockwise order cut at the right and the left side, so an arc has a
-side-walk level only where its ends are clockwise neighbours.  A cut
-line is a stretch [a, b) of the clockwise order, and the arcs it crosses
-are the arcs with exactly one end in the stretch.  Horizontal cut i
-(below L_i and R_i) is the stretch [n_t+i, n_t+2m+n_b-i) -- everything
-under the line -- and vertical cut j (right of T_j and B_j) is
-[j, 2n+m-j).
+the side-walk levels, prefix-summed multiset ints (:func:`_level_prefix`,
+one uncached pass over ``mate``), so the levels of any stretch are one
+subtraction.  The left and right side walks are the clockwise order cut
+at the right and the left side, so an arc has a side-walk level only where
+its ends are clockwise neighbours.  A cut line is a stretch [a, b) of the
+clockwise order, and the arcs it crosses are the arcs with exactly one end
+in the stretch.  Horizontal cut i (below L_i and R_i) is the stretch
+[n_t+i, n_t+2m+n_b-i) -- everything under the line -- and vertical cut j
+(right of T_j and B_j) is [j, 2n+m-j).
 
 Symmetries, tau-shifts and arc removal are relabellings of positions.
 The half turn, the quarter turn and the tau-shifts keep the clockwise
@@ -50,10 +49,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterator, NamedTuple, Optional
 
 Point = tuple[str, int]
 Pair = tuple[Point, Point]
+_LEVEL_BITS = 2  # bits per level digit of a multiset int (see _side_walks)
 
 
 class _Zero:
@@ -373,16 +374,16 @@ def view(C: Connection) -> BoundaryView:
     return BoundaryView(census, horizontal, vertical)
 
 
-def _levels(C: Connection) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """``(k, js)`` for each arc of a Catalan state that has side-walk levels
-    ``js``: the arcs whose ends are clockwise neighbours, k the
-    clockwise-earlier end, in clockwise order.  Neither cached nor stored
-    on the state: each of its two readers asks once per state."""
+def _level_prefix(C: Connection) -> list[int]:
+    """Prefix sums P of a Catalan state's side-walk levels (``unit`` of
+    :func:`_side_walks`, keyed by each arc's clockwise-earlier end) along
+    its doubled clockwise word: a stretch [a, b), b - a <= N, keys
+    ``P[b] - P[a]``.  Not cached or stored on the state."""
     mate, N = C.mate, len(C.mate)
-    step = _side_walks(C.m, C.n)[2]
+    unit = _side_walks(C.m, C.n)[2]
     # the one arc of a two-point state counts once, from 0
-    ends = (k for k in range(N) if mate[k] == (k + 1) % N != k - 1)
-    return tuple((k, step[k]) for k in ends if step[k])
+    keyed = [unit[k] if mate[k] == (k + 1) % N != k - 1 else 0 for k in range(N)]
+    return list(accumulate(keyed + keyed, initial=0))
 
 
 def line_intersections(C: Connection, orientation: str, i: int) -> int:
@@ -634,19 +635,21 @@ def _side_walks(m: int, n: int) -> tuple[list, list, list]:
     index (None) there.  The left walk (cut at R) numbers Tn..T1 from 1-n
     to 0, then L1..Lm and B1..Bn from 1 to m+n; the right walk (cut at L)
     numbers T1..Tn from 1-n to 0, then R1..Rm and Bn..B1 from 1 to m+n.
-    ``step[k]`` holds the levels of an arc joining k to k+1: the lower of
-    the two indices on each walk where they are consecutive (which drops
-    a walk's wrap across an empty side).
+    ``unit[k]`` holds the levels of an arc joining k to k+1, the lower of
+    the two indices on each walk where they are consecutive (which drops a
+    walk's wrap across an empty side), as a multiset int: level j counts in
+    digit j + n of ``_LEVEL_BITS`` bits.  A level occurs at no more than two
+    positions of a shape, once per walk, so no sum of stretches carries.
     """
     N = 2 * (m + n)
     left = [-k if k < n else None if k < n + m else N - k for k in range(N)]
     right = [k - n + 1 if k < 2 * n + m else None for k in range(N)]
-    step = []
+    unit = []
     for k in range(N):
         ends = [(walk[k], walk[(k + 1) % N]) for walk in (left, right)]
         js = {min(u, w) for u, w in ends if None not in (u, w) and abs(u - w) == 1}
-        step.append(tuple(js))
-    return left, right, step
+        unit.append(sum(1 << _LEVEL_BITS * (j + n) for j in js))
+    return left, right, unit
 
 
 def _removable(C: Connection, arcs) -> list[tuple[int, int]]:
@@ -659,27 +662,27 @@ def _removable(C: Connection, arcs) -> list[tuple[int, int]]:
     otherwise.  c is removable when it is proper and every side-walk level
     on its top side is smaller (higher up) than every level on its bottom
     side, level 0 counting as top and level m as bottom (so nothing is
-    removable at m=0).
+    removable at m=0).  Each side's levels are a difference of prefix sums
+    (:func:`_level_prefix`).
     """
-    m, n = C.m, C.n
+    m, n, D = C.m, C.n, _LEVEL_BITS
     points = _shape(m, n, n)[0]
-    levels = _levels(C)
+    P = _level_prefix(C)
+    level_0, level_m = 1 << D * n, 1 << D * (m + n)  # level j is digit j + n
     out = []
     for arc in arcs:
         a, b = sorted(arc)
         c = (points[a], points[b])
         if not is_proper_arc(C, c):
             continue
-        inside_is_bottom = "B" in (c[0][0], c[1][0]) or a < n + m <= b
-        top, bottom = 0, m
-        for k, js in levels:
-            if k in (a, b):
-                continue
-            if (a < k < b) == inside_is_bottom:
-                bottom = min(bottom, *js)
-            else:
-                top = max(top, *js)
-        if top < bottom:
+        top = P[b] - P[a + 1]
+        # [a, b] holds the arc's own key: a, or N - 1 for the arc (0, N - 1)
+        bottom = P[len(C.mate)] - (P[b + 1] - P[a])
+        if "B" in (c[0][0], c[1][0]) or a < n + m <= b:
+            top, bottom = bottom, top
+        bottom |= level_m
+        # every top level lies below the digit of the lowest bottom level
+        if not (top | level_0) >> D * (((bottom & -bottom).bit_length() - 1) // D):
             out.append(arc)
     return out
 

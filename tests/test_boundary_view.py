@@ -4,7 +4,8 @@ Cut-line counts, the arc census, side-walk levels, removable arcs, local
 families, the symmetries, the tau-shifts, arc removal, the tree of a state
 and extended labels are all read off a state's clockwise partner array
 ``mate``, one view of it (``states.view``: the census and the cut-line
-counts) and its side-walk levels keyed by position (``states._levels``).
+counts) and its side-walk levels keyed by position (the listing
+``levels_reference._levels``, which the library now sums in prefix ints).
 The functions below are the earlier direct definitions, kept literally as
 references: a region set per cut line, a census loop over the pairs, a
 point-by-point index on each side walk, a token list with corner
@@ -36,6 +37,7 @@ from typing import Iterator, NamedTuple
 
 import pytest
 
+import levels_reference as LR
 from catlattice import coeff as E
 from catlattice import maxseq as M
 from catlattice import samples
@@ -71,13 +73,13 @@ class PairView(NamedTuple):
 
 def pair_view(C) -> PairView:
     """The former point fields, derived from ``_shape`` and the position-keyed
-    levels of ``states._levels``."""
+    levels of ``levels_reference._levels``."""
     points, pos = _shape(C.m, C.n_t, C.n_b)[:2]
     pair = [0] * len(points)
     for r, (p, q) in enumerate(C.pairs):
         pair[pos[p]] = pair[pos[q]] = r
     levels = [()] * len(C.pairs)
-    for k, js in S._levels(C):
+    for k, js in LR._levels(C):
         levels[pair[k]] = js
     return PairView(points, tuple(pair), tuple(levels))
 
@@ -642,7 +644,7 @@ def check_state(C, each_arc=True):
         ref_adjacent_descriptions(arc, m, n) for arc in C.pairs
     ], S.render_state(C)
     # one entry per arc with levels, keyed by its clockwise-earlier end
-    ends = [k for k, _ in S._levels(C)]
+    ends = [k for k, _ in LR._levels(C)]
     assert ends == sorted(set(ends)), S.render_state(C)
     assert len({pair_view(C).pair[k] for k in ends}) == len(ends)
     assert all(C.mate[k] == (k + 1) % len(C.mate) for k in ends)

@@ -26,14 +26,14 @@ def mask_of(m, n, frozen):
     bits = K._codes(m, n)[2]
     mask = 0
     for a, b in frozen:
-        mask |= bits[a][b]
+        mask |= 1 << bits[a][b]
     return mask
 
 
 def pairs_of(m, n, mask):
     bits = K._codes(m, n)[2]
     P = len(bits)
-    return {(a, b) for a in range(-P, 0) for b in range(a + 1, 0) if mask & bits[a][b]}
+    return {(a, b) for a in range(-P, 0) for b in range(a + 1, 0) if mask >> bits[a][b] & 1}
 
 
 def decoded(m, n, table, positive):
