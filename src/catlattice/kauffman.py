@@ -12,10 +12,12 @@ port, each holding its mate's slot index or the code of the finished
 boundary point its strand ends at -- together with the strands already
 closed between finished points, one bit per pair of codes.
 ``bracket_table`` keeps every frontier; ``oracle_coefficient`` looks a
-state's key up in the cached fold of its shape; ``bracket_coefficient_at``
+state's key up in the cached fold of its grid; ``bracket_coefficient_at``
 drops the frontiers that can no longer end at its target, and keeps its
 recent answers in a bounded cache (``_pruned_fold``), keyed by the state
-and the smoothing convention, since local-family companions repeat.
+and the smoothing convention, since local-family companions repeat.  The
+two fold a grid along its shorter side, keyed by the codes of the quarter
+turn (``_frontier_key``), and build no turned state.
 ``bracket_table_by_enumeration`` is the 2^(mn) sum.
 
 Each fold weight is one int.  Multiplied by A^3 per crossing, a weight
@@ -42,7 +44,6 @@ from .states import (
     _from_mate,
     boundary_points,
     new_connection,
-    rotate_quarter,
 )
 
 MarkerGrid = tuple[tuple[int, ...], ...]
@@ -347,12 +348,17 @@ def _codes(m: int, n: int) -> tuple:
 
 
 def _frontier_key(C: Connection) -> tuple[tuple[int, ...], int]:
-    """C as a final frontier key of ``_fold(C.m, C.n)``: (columns, frozen)."""
-    codes, _, bits = _codes(C.m, C.n)
-    cols = [0] * C.n
+    """C as a final frontier key (columns, frozen) of the fold of its grid
+    along the shorter side, ``_fold(max(m, n), min(m, n))``: when n > m,
+    of its quarter turn, which moves position k to k - 2n - m
+    (``states.rotate_quarter``; a negative index counts from the end)."""
+    m, n = C.m, C.n
+    turn = 2 * n + m if n > m else 0
+    codes, _, bits = _codes(max(m, n), min(m, n))
+    cols = [0] * min(m, n)
     frozen = 0
     for k, j in enumerate(C.mate):
-        a, b = codes[k], codes[j]
+        a, b = codes[k - turn], codes[j - turn]
         if a >= 0:
             cols[a] = b
         elif b < 0:
@@ -369,10 +375,11 @@ def _shape_fold(m: int, n: int) -> dict:
 
 def oracle_coefficient(C: Connection, budget_bits=None) -> Laurent:
     """Reference coefficient of a Catalan state, straight from the bracket:
-    its frontier key looked up in the cached full fold of its shape."""
+    its frontier key looked up in the cached full fold of its grid along
+    the shorter side, which Cat(m,n) and Cat(n,m) share."""
     _check_budget(C.m, C.n, budget_bits)
-    w = _shape_fold(C.m, C.n).get(_frontier_key(C), 0)
-    return _unpack(w, C.m, C.n, POSITIVE_JOINS_EAST)
+    w = _shape_fold(max(C.m, C.n), min(C.m, C.n)).get(_frontier_key(C), 0)
+    return _unpack(w, C.m, C.n, POSITIVE_JOINS_EAST != (C.n > C.m))
 
 
 def bracket_coefficient_at(C: Connection) -> Laurent:
@@ -387,10 +394,10 @@ def bracket_coefficient_at(C: Connection) -> Laurent:
     beyond any budget.  ``C`` itself is encoded as a final frontier key, so
     the answer is one lookup.
 
-    The grid is folded along its shorter side; a quarter turn of the diagram
-    inverts ``A``, which is undone on the way out.  Answers are memoized per
-    state (``_pruned_fold``), so a repeated state skips both the turn and
-    the fold.
+    The grid is folded along its shorter side, keyed as the oracle keys it
+    (``_frontier_key``); a quarter turn of the diagram inverts ``A``, which
+    is undone on the way out.  Answers are memoized per state
+    (``_pruned_fold``).
     """
     if not C.is_catalan:
         raise ValueError("connection is not a Catalan state")
@@ -403,9 +410,6 @@ def bracket_coefficient_at(C: Connection) -> Laurent:
 def _pruned_fold(C: Connection, positive_joins_east: bool) -> Laurent:
     """The pruned-fold value of a Catalan state under the given smoothing
     convention (shared between callers, so read only)."""
-    turned = C.n > C.m
-    if turned:
-        C = rotate_quarter(C)
     key = _frontier_key(C)
-    w = _fold(C.m, C.n, allowed=key[1]).get(key, 0)
-    return _unpack(w, C.m, C.n, positive_joins_east != turned)
+    w = _fold(max(C.m, C.n), min(C.m, C.n), allowed=key[1]).get(key, 0)
+    return _unpack(w, C.m, C.n, positive_joins_east != (C.n > C.m))

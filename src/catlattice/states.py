@@ -24,17 +24,20 @@ text, public arguments and returned pairs, ``_shape`` alone maps them to
 positions, and :func:`_arc` is the one checked lookup of a point pair.
 
 Boundary questions -- cut lines, the arc census, removable arcs, local
-families, the tree of a state -- read ``mate``, one cached view,
-:func:`view` (the census and the crossing count of every cut line), and
-the side-walk levels, prefix-summed multiset ints (:func:`_level_prefix`,
-one uncached pass over ``mate``), so the levels of any stretch are one
-subtraction.  The left and right side walks are the clockwise order cut
-at the right and the left side, so an arc has a side-walk level only where
-its ends are clockwise neighbours.  A cut line is a stretch [a, b) of the
-clockwise order, and the arcs it crosses are the arcs with exactly one end
-in the stretch.  Horizontal cut i (below L_i and R_i) is the stretch
-[n_t+i, n_t+2m+n_b-i) -- everything under the line -- and vertical cut j
-(right of T_j and B_j) is [j, 2n+m-j).
+families, the tree of a state -- read ``mate`` against tables built once
+per shape and indexed by clockwise position: each point's side bit, row
+depth and column depth (:func:`_shape`) and side-walk levels
+(:func:`_side_walks`).  A cut line is a stretch [a, b) of the clockwise
+order, and the arcs it crosses are the arcs with exactly one end in the
+stretch.  Horizontal cut i (below L_i and R_i) is the stretch
+[n_t+i, n_t+2m+n_b-i), the positions of row depth above i, and vertical
+cut j (right of T_j and B_j) is [j, 2n+m-j), those of column depth above
+j, so one pass over the arcs gives the census and every cut count: the
+cached :func:`view`.  The side-walk levels are prefix-summed multiset
+ints (:func:`_level_prefix`, one uncached pass over ``mate``), so the
+levels of any stretch are one subtraction.  The side walks are the
+clockwise order cut at the right and the left side, so an arc has a
+side-walk level only where its ends are clockwise neighbours.
 
 Symmetries, tau-shifts and arc removal are relabellings of positions.
 The half turn, the quarter turn and the tau-shifts keep the clockwise
@@ -50,28 +53,12 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from operator import sub
 from typing import Iterator, NamedTuple, Optional
 
 Point = tuple[str, int]
 Pair = tuple[Point, Point]
 _LEVEL_BITS = 2  # bits per level digit of a multiset int (see _side_walks)
-
-
-class _Zero:
-    """Absorbing zero for the vertical product (loop or width mismatch)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "K0"
-
-
-K0 = _Zero()
 
 
 class _stored:
@@ -119,9 +106,8 @@ class Connection:
     def pairs(self) -> tuple[Pair, ...]:
         """The matched pairs in reading order (top, left, right, then
         bottom points, index ascending), the earlier end of each first."""
-        points, _, rank, order = _shape(self.m, self.n_t, self.n_b)
-        ends = ((k, self.mate[k]) for k in order)
-        return tuple((points[k], points[j]) for k, j in ends if rank[k] < rank[j])
+        points = _shape(self.m, self.n_t, self.n_b)[0]
+        return tuple((points[k], points[j]) for k, j in _reading_arcs(self))
 
     @property
     def n(self) -> int:
@@ -155,6 +141,9 @@ def _point_text(p: Point) -> str:
 
 
 _SIDE_RANK = {"T": 0, "L": 1, "R": 2, "B": 3}
+_SIDE_BIT = {"T": 1, "B": 2, "L": 4, "R": 8}  # an arc's kind: OR of its ends'
+_CENSUS = (1, 2, 4, 8, 3)  # the kinds TT, BB, LL, RR and TB of a StateClass
+_IMPROPER = 1 << 3 | 1 << 4 | 1 << 8  # TB, LL and RR, one bit per kind
 
 
 def _rank(p: Point) -> tuple[int, int]:
@@ -165,12 +154,24 @@ def _rank(p: Point) -> tuple[int, int]:
 @lru_cache(maxsize=256)
 def _shape(m: int, n_t: int, n_b: int) -> tuple:
     """A shape's points in clockwise order, each point's position, the
-    reading rank of each position, and the positions in reading order
-    (read only)."""
+    reading rank of each position, the positions in reading order, and
+    (side, row, col), each position's side bit, row depth and column depth:
+    row depth 0 on T, i on L_i and R_i, m + 1 on B; column depth 0 on L, i
+    on T_i and B_i, past every column on R (read only)."""
     points = tuple(boundary_points(m, n_t, n_b))
     rank = tuple(_rank(p) for p in points)
     order = tuple(sorted(range(len(points)), key=rank.__getitem__))
-    return points, {p: k for k, p in enumerate(points)}, rank, order
+    side = tuple(_SIDE_BIT[s] for s, _ in points)
+    row = tuple({"T": 0, "B": m + 1}.get(s, i) for s, i in points)
+    col = tuple({"L": 0, "R": n_t + n_b + 1}.get(s, i) for s, i in points)
+    return points, {p: k for k, p in enumerate(points)}, rank, order, (side, row, col)
+
+
+def _reading_arcs(C: Connection) -> Iterator[tuple[int, int]]:
+    """The arcs of C as clockwise positions (k, j), in reading order of
+    their earlier-read end k."""
+    _, _, rank, order, _ = _shape(C.m, C.n_t, C.n_b)
+    return ((k, C.mate[k]) for k in order if rank[k] < rank[C.mate[k]])
 
 
 def _from_mate(m: int, n_t: int, n_b: int, mate) -> Connection:
@@ -343,34 +344,33 @@ def _cut(C: Connection, orientation: str, i: int) -> tuple[int, int]:
     raise ValueError(f"unknown orientation {orientation!r}")
 
 
-def _cut_counts(mate: tuple[int, ...], a: int, b: int, lines: int) -> tuple[int, ...]:
-    """Arcs with exactly one end in each stretch [a+i, b-i), i = 0..lines.
-
-    Dropping an end point from the stretch turns its arc from crossing
-    into outside, or from inside into crossing.
-    """
-    out = [sum(1 for k in range(a, b) if not a <= mate[k] < b)]
-    for i in range(1, lines + 1):
-        lo, hi = a + i, b - i  # the stretch loses lo - 1, then hi
-        step = 1 if lo <= mate[lo - 1] <= hi else -1
-        step += 1 if lo <= mate[hi] < hi else -1
-        out.append(out[-1] + step)
-    return tuple(out)
-
-
 # one coefficient call asks about some ten distinct states
 @lru_cache(maxsize=128)
 def view(C: Connection) -> BoundaryView:
-    """The clockwise boundary view of C (shared between callers, so read only)."""
-    m, n_t, mate = C.m, C.n_t, C.mate
+    """The clockwise boundary view of C (shared between callers, so read only).
+
+    An arc crosses the cuts from the lesser depth of its ends up to, not
+    including, the greater.  So cut i is crossed by the ends of depth at
+    most i (n_t + 2i, or m + 2i) less twice the arcs of greater depth at
+    most i, and one pass counts the arcs by greater depth (:func:`_shape`).
+    """
+    m, n_t, n_b, mate = C.m, C.n_t, C.n_b, C.mate
+    side, row, col = _shape(m, n_t, n_b)[4]
+    kinds = [0] * 13  # arcs by kind, the OR of two side bits
+    rows = [0] * (m + 2)  # twice the arcs by greater row depth
+    cols = [0] * (n_t + n_b + 2)
+    for k, j in enumerate(mate):
+        if k < j:
+            kinds[side[k] | side[j]] += 1
+            r, q = row[k], row[j]
+            rows[r if r > q else q] += 2
+            r, q = col[k], col[j]
+            cols[r if r > q else q] += 2
+    horizontal = tuple(map(sub, range(n_t, n_t + 2 * m + 1, 2), accumulate(rows)))
     vertical = None
     if C.is_catalan:
-        vertical = _cut_counts(mate, *_cut(C, "vertical", 0), n_t)
-    points = _shape(m, n_t, C.n_b)[0]
-    # T comes first clockwise, so a top-to-bottom arc reads "TB"
-    kinds = [points[k][0] + points[j][0] for k, j in enumerate(mate) if k < j]
-    census = StateClass(*(kinds.count(k) for k in ("TT", "BB", "LL", "RR", "TB")))
-    horizontal = _cut_counts(mate, *_cut(C, "horizontal", 0), m)
+        vertical = tuple(map(sub, range(m, m + 2 * n_t + 1, 2), accumulate(cols)))
+    census = StateClass(*(kinds[s] for s in _CENSUS))
     return BoundaryView(census, horizontal, vertical)
 
 
@@ -416,12 +416,7 @@ def classify(C: Connection) -> StateClass:
 
 def is_proper_arc(C: Connection, c: Pair) -> bool:
     """Proper arcs may be removed: no top-to-bottom strands, no side returns."""
-    sides = {c[0][0], c[1][0]}
-    if sides == {"T", "B"}:
-        return False
-    if sides == {"L"} or sides == {"R"}:
-        return False
-    return True
+    return not _IMPROPER >> (_SIDE_BIT[c[0][0]] | _SIDE_BIT[c[1][0]]) & 1
 
 
 # -- symmetries ---------------------------------------------------------
@@ -485,7 +480,7 @@ def rotate_quarter(C: Connection) -> Connection:
     return _relabel(C, 2 * n + C.m, n, C.m, C.m)
 
 
-# -- gluing and the vertical product -------------------------------------
+# -- gluing ------------------------------------------------------------------
 
 
 def glue_vertical(C1: Connection, C2: Connection) -> tuple[Connection, int]:
@@ -531,16 +526,6 @@ def glue_vertical(C1: Connection, C2: Connection) -> tuple[Connection, int]:
             loops += 1
             walk(0, j)
     return _from_mate(m1 + m2, n_t, n_b, mate), loops
-
-
-def vertical_product(C1, C2):
-    """Stack two states; K0 absorbs width mismatches and closed loops."""
-    if C1 is K0 or C2 is K0:
-        return K0
-    if C1.n_b != C2.n_t:
-        return K0
-    glued, loops = glue_vertical(C1, C2)
-    return K0 if loops else glued
 
 
 # -- sliding side points over the top edge --------------------------------
@@ -591,17 +576,23 @@ def remove_arc(C: Connection, c) -> Connection:
     top edge stays) for one with a bottom end -- drop the arc's two points
     and lay the rest onto Cat(m-1,n) from its L_(m-1) or R_1.
     """
-    n, m = C.n, C.m
-    if m == 0:
+    if C.m == 0:
         raise ValueError("no rows left to absorb a removal")
     ends = _arc(C, c)
     if not is_proper_arc(C, c):
         raise ValueError("arc is not proper")
-    if "B" in (c[0][0], c[1][0]):
+    return _remove(C, *ends)
+
+
+def _remove(C: Connection, a: int, b: int) -> Connection:
+    """C less its proper arc at positions a and b (see :func:`remove_arc`)."""
+    n, m = C.n, C.m
+    side = _shape(m, n, n)[4][0]
+    if (side[a] | side[b]) & _SIDE_BIT["B"]:
         start, at = n, n
     else:
         start, at = 2 * n + m, 2 * n + m - 1
-    return _relabel(C, start, m - 1, n, n, at, ends)
+    return _relabel(C, start, m - 1, n, n, at, (a, b))
 
 
 # -- extended labels and removability -------------------------------------
@@ -612,18 +603,20 @@ def extended_labels(C: Connection, c) -> tuple[int, int]:
 
     The left and bottom edges extend the left-side numbering (top points
     count down from 0, bottom points continue past m); symmetrically for
-    the right side.  a is the left-walk index of the end further left (L
-    at x=0, T_i and B_i at x=i, R at x=n+1) and b the right-walk index of
+    the right side.  a is the left-walk index of the end further left (the
+    lesser column depth, see :func:`_shape`) and b the right-walk index of
     the other end.  Top-to-bottom strands and side returns are rejected.
     """
-    m, n = C.m, C.n
     ends = _arc(C, c)
     if not is_proper_arc(C, c):
         raise ValueError("arc has no extended labels")
-    x = {"L": 0, "R": n + 1}
-    points = _shape(m, n, n)[0]
-    k, j = sorted(ends, key=lambda e: x.get(points[e][0], points[e][1]))
-    left, right, _ = _side_walks(m, n)
+    return _labels(C, *ends)
+
+
+def _labels(C: Connection, a: int, b: int) -> tuple[int, int]:
+    """The extended labels of C's proper arc at positions a and b."""
+    col, (left, right, _) = _shape(C.m, C.n, C.n)[4][2], _side_walks(C.m, C.n)
+    k, j = (a, b) if col[a] < col[b] else (b, a)  # k further left
     return left[k], right[j]
 
 
@@ -652,9 +645,9 @@ def _side_walks(m: int, n: int) -> tuple[list, list, list]:
     return left, right, unit
 
 
-def _removable(C: Connection, arcs) -> list[tuple[int, int]]:
+def _removable(C: Connection, arcs) -> Iterator[tuple[int, int]]:
     """The removable arcs among ``arcs``, each the clockwise positions of
-    the two ends of an arc of C in either order, in their order.
+    the two ends of an arc of C in either order, yielded in their order.
 
     An arc c splits the other arcs into those strictly inside its clockwise
     interval and those outside.  The inside is c's bottom side when c has a
@@ -663,28 +656,29 @@ def _removable(C: Connection, arcs) -> list[tuple[int, int]]:
     on its top side is smaller (higher up) than every level on its bottom
     side, level 0 counting as top and level m as bottom (so nothing is
     removable at m=0).  Each side's levels are a difference of prefix sums
-    (:func:`_level_prefix`).
+    (:func:`_level_prefix`); properness and the bottom end are read off
+    the side bits of the ends.
     """
-    m, n, D = C.m, C.n, _LEVEL_BITS
-    points = _shape(m, n, n)[0]
+    m, n, D, bottom_bit = C.m, C.n, _LEVEL_BITS, _SIDE_BIT["B"]
+    side = _shape(m, n, n)[4][0]
     P = _level_prefix(C)
     level_0, level_m = 1 << D * n, 1 << D * (m + n)  # level j is digit j + n
-    out = []
     for arc in arcs:
-        a, b = sorted(arc)
-        c = (points[a], points[b])
-        if not is_proper_arc(C, c):
+        a, b = arc
+        if a > b:
+            a, b = b, a
+        kind = side[a] | side[b]
+        if _IMPROPER >> kind & 1:
             continue
         top = P[b] - P[a + 1]
         # [a, b] holds the arc's own key: a, or N - 1 for the arc (0, N - 1)
         bottom = P[len(C.mate)] - (P[b + 1] - P[a])
-        if "B" in (c[0][0], c[1][0]) or a < n + m <= b:
+        if kind & bottom_bit or a < n + m <= b:
             top, bottom = bottom, top
         bottom |= level_m
         # every top level lies below the digit of the lowest bottom level
         if not (top | level_0) >> D * (((bottom & -bottom).bit_length() - 1) // D):
-            out.append(arc)
-    return out
+            yield arc
 
 
 def is_removable(C: Connection, c) -> bool:
@@ -695,14 +689,14 @@ def is_removable(C: Connection, c) -> bool:
     some level j0 sits on c's top side, everything below on its bottom
     side.
     """
-    return C.m > 0 and bool(_removable(C, [_arc(C, c)]))
+    return C.m > 0 and any(_removable(C, [_arc(C, c)]))
 
 
 def find_removable_arcs(C: Connection) -> list[Pair]:
-    """All removable arcs, in canonical pair order."""
-    points, _, rank, order = _shape(C.m, C.n, C.n)
-    ends = [(k, C.mate[k]) for k in order if rank[k] < rank[C.mate[k]]]
-    return [(points[k], points[j]) for k, j in _removable(C, ends)]
+    """All removable arcs, in canonical pair order: the scan that
+    ``coeff.reduce_removable`` stops at its first hit, run to the end."""
+    points = _shape(C.m, C.n, C.n)[0]
+    return [(points[k], points[j]) for k, j in _removable(C, _reading_arcs(C))]
 
 
 # -- saturated horizontal lines -------------------------------------------

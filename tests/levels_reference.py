@@ -7,8 +7,9 @@ earlier form: ``step`` holds each position's levels as a tuple, ``_levels``
 lists ``(k, js)`` per leveled arc, and both questions walk that list for
 every candidate.  The bodies of ``_levels``, ``_removable`` and
 ``iter_vertical_factorizations`` are kept unchanged but for reading
-``step`` from here and the module prefixes, so the prefix sums are checked
-against scans that share no level arithmetic with them.
+``step`` from here, the module prefixes and ``_shape(...)[:4]``, so the
+prefix sums are checked against scans that share no level arithmetic with
+them.
 """
 
 from functools import lru_cache
@@ -77,7 +78,7 @@ def iter_vertical_factorizations(C: Connection) -> Iterator[LocalFamily]:
     m, n, mate = C.m, C.n, C.mate
     N = len(mate)
     leveled = _levels(C)
-    points, _, rank, order = _shape(m, n, n)
+    points, _, rank, order = _shape(m, n, n)[:4]
     for start in range(N):
         # R holds positions n..n+m-1 and L 2n+m..N-1: an interval from T or R
         # has points on both sides once it covers position 2n+m, one from B

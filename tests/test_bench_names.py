@@ -56,6 +56,12 @@ def test_workload_names_exist():
     assert catlattice.plucking_factored is trees.plucking
 
 
+def test_the_traced_removable_scan_is_held_by_coeff():
+    # bench/tests/test_bench.py reads the tracer's wrapper off coeff, so coeff
+    # holds the name; the engine runs the scan beneath it
+    assert coeff.find_removable_arcs is states.find_removable_arcs
+
+
 def test_family_scan_is_an_iterator():
     C = states.parse_state("cat(2,4): T1-T2, T3-L1, T4-R1, L2-B1, R2-B4, B2-B3")
     fams = coeff.iter_vertical_factorizations(C)

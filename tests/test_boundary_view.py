@@ -38,6 +38,7 @@ from typing import Iterator, NamedTuple
 import pytest
 
 import levels_reference as LR
+import states_reference as R
 from catlattice import coeff as E
 from catlattice import maxseq as M
 from catlattice import samples
@@ -657,7 +658,7 @@ def check_state(C, each_arc=True):
     assert list(families) == ref_vertical_factorizations(C), S.render_state(C)
     for i in range(m + 1):
         if S.line_intersections(C, "horizontal", i) == n:
-            assert S.vertical_product(*S.split_at(C, i)) == C, (S.render_state(C), i)
+            assert R.vertical_product(*S.split_at(C, i)) == C, (S.render_state(C), i)
     removals = 0
     for arc in C.pairs:
         try:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import states_reference as R
 from catlattice import coeff as E
 from catlattice import kauffman as K
 from catlattice import laurent as L
@@ -114,7 +115,7 @@ def test_frozen_sample_family_still_detected():
 def test_vertical_decompose():
     a = S.parse_state("cat(1,2): T1-T2, L1-B1, R1-B2")
     b = S.parse_state("cat(1,2): T1-L1, T2-R1, B1-B2")
-    C = S.vertical_product(a, b)
+    C = R.vertical_product(a, b)
     assert E.vertical_decompose(C) == [a, b]
     lone = S.parse_state("cat(2,2): T1-T2, L1-R1, L2-R2, B1-B2")
     assert E.vertical_decompose(lone) == [lone]
@@ -123,7 +124,7 @@ def test_vertical_decompose():
 def test_decompose_trace_golden():
     a = S.parse_state("cat(1,2): T1-T2, L1-B1, R1-B2")
     b = S.parse_state("cat(1,2): T1-L1, T2-R1, B1-B2")
-    value, trace = E.coefficient(S.vertical_product(a, b))
+    value, trace = E.coefficient(R.vertical_product(a, b))
     assert value == L.ONE
     assert E.render_trace(trace) == (
         "step 1: vertical-decompose 2 blocks at saturated lines factor=1\n"

