@@ -80,8 +80,7 @@ def _cmd_reductions(args) -> int:
         C = states.parse_state(text)
         for arc in states.find_removable_arcs(C):
             a, b = states.extended_labels(C, arc)
-            (p, q) = arc
-            name = f"{p[0]}{p[1]}-{q[0]}{q[1]}"
+            name = "-".join(map(states._point_text, arc))
             print(f"removable {name}: {laurent.render(laurent.monomial(b - a))}")
         for fam in engine.iter_vertical_factorizations(C):
             names = ", ".join(f"{p[0]}{p[1]}-{q[0]}{q[1]}" for p, q in fam.arcs)
@@ -121,9 +120,7 @@ def _selftest_checks(max_mn: int):
 
     def sweep():
         for m in range(1, max_mn + 1):
-            for n in range(1, max_mn + 1):
-                if m * n > max_mn:
-                    continue
+            for n in range(1, max_mn // m + 1):
                 for C in states.enumerate_catalan(m, n):
                     value, _ = engine.coefficient(C)
                     if value != kauffman.oracle_coefficient(C):

@@ -18,7 +18,6 @@ recent answers in a bounded cache (``_pruned_fold``), keyed by the state
 and the smoothing convention, since local-family companions repeat.  The
 two fold a grid along its shorter side, keyed by the codes of the quarter
 turn (``_frontier_key``), and build no turned state.
-``bracket_table_by_enumeration`` is the 2^(mn) sum.
 
 Each fold weight is one int.  Multiplied by A^3 per crossing, a weight
 after t crossings is a polynomial in A^2 of degree at most 2t; slot s of
@@ -37,7 +36,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
-from .laurent import Laurent, ZERO, add, monomial, mul
+from .laurent import Laurent
 from .states import (
     Connection,
     Point,
@@ -302,31 +301,6 @@ def bracket_table(m: int, n: int, budget_bits=None) -> dict[Connection, Laurent]
         for a, b in ends:
             mate[where[a]], mate[where[b]] = where[b], where[a]
         table[_from_mate(m, n, n, mate)] = _unpack(w, m, n, POSITIVE_JOINS_EAST)
-    return table
-
-
-def bracket_table_by_enumeration(
-    m: int, n: int, budget_bits=None
-) -> dict[Connection, Laurent]:
-    """Literal sum over all 2^(mn) marker grids (slow reference path)."""
-    _check_budget(m, n, budget_bits)
-    if m == 0 or n == 0:
-        return bracket_table(m, n, budget_bits)
-    table: dict[Connection, Laurent] = {}
-    for bits in range(1 << (m * n)):
-        cells = [1 if bits >> k & 1 else -1 for k in range(m * n)]
-        grid = tuple(
-            tuple(cells[r * n : (r + 1) * n]) for r in range(m)
-        )
-        state, loops = smooth(grid)
-        w = monomial(sum(cells))
-        for _k in range(loops):
-            w = mul(w, LOOP_WEIGHT)
-        total = add(table.get(state, ZERO), w)
-        if total:
-            table[state] = total
-        else:
-            table.pop(state, None)
     return table
 
 

@@ -50,7 +50,6 @@ if any, and lays the rest onto the positions of a new shape
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from operator import sub
@@ -59,6 +58,7 @@ from typing import Iterator, NamedTuple, Optional
 Point = tuple[str, int]
 Pair = tuple[Point, Point]
 _LEVEL_BITS = 2  # bits per level digit of a multiset int (see _side_walks)
+_set = object.__setattr__  # how a value class sets its own fields
 
 
 class _stored:
@@ -81,13 +81,26 @@ class _stored:
         return value
 
 
-@dataclass(frozen=True)
-class Connection:
+class _Value:
+    """Immutable, with the hash of its fields stored in ``_hash``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Connection(_Value):
     """A noncrossing perfect matching of grid boundary points.
 
     Build through :func:`new_connection` (pairs of points) or
     :func:`_from_mate` (positions), which validate; the constructor itself
-    trusts its arguments.
+    trusts its arguments.  Immutable; stores the hash of its fields.
 
     Attributes:
         m: number of rows (points per vertical side).
@@ -97,10 +110,24 @@ class Connection:
             point at position k of ``boundary_points(m, n_t, n_b)``.
     """
 
-    m: int
-    n_t: int
-    n_b: int
-    mate: tuple[int, ...]
+    __slots__ = ("m", "n_t", "n_b", "mate", "_hash", "__dict__")
+    __hash__ = _Value.__hash__  # defining __eq__ would otherwise unset it
+
+    def __init__(self, m: int, n_t: int, n_b: int, mate: tuple[int, ...]):
+        _set(self, "m", m)
+        _set(self, "n_t", n_t)
+        _set(self, "n_b", n_b)
+        _set(self, "mate", mate)
+        _set(self, "_hash", hash((m, n_t, n_b, mate)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self.mate == other.mate and (
+            self.m, self.n_t, self.n_b) == (other.m, other.n_t, other.n_b)
+
+    def __reduce__(self):
+        return Connection, (self.m, self.n_t, self.n_b, self.mate)
 
     @_stored
     def pairs(self) -> tuple[Pair, ...]:

@@ -22,13 +22,12 @@ So no question about a tree's size or delays walks it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from .laurent import Laurent, ONE, ZERO, add, monomial_shift, mul
-from .states import _shape, classify
+from .states import _Value, _set, _shape, classify
 
 #: Child order used when a tree is built from a state: word order
 #: (left-to-right along the unfolded top).  Flipping mirrors every level.
@@ -39,38 +38,49 @@ CHILDREN_LEFT_TO_RIGHT = True
 COUNT_RIGHT_OF_PATH = True
 
 
-@dataclass(frozen=True)
-class Node:
-    children: tuple["Node", ...] = ()
-    delay: int = 1
+class Node(_Value):
+    """A vertex with its children in plane order and, if a leaf, a delay."""
 
-    def __post_init__(self):
-        kids, delay = self.children, self.delay
+    __slots__ = ("children", "delay", "_hash", "size", "leaves", "lo", "hi")
+    __hash__ = _Value.__hash__  # defining __eq__ would otherwise unset it
+
+    def __init__(self, children: tuple[Node, ...] = (), delay: int = 1):
         if delay < 1:
             raise ValueError("delay must be at least 1")
-        # the plucking memo hashes every tree it meets, so each node keeps
-        # the dataclass hash of its fields, built on its children's; its
-        # counts are built on its children's counts the same way
-        d = self.__dict__
-        d["_hash"] = hash((kids, delay))
-        if not kids:
-            d["size"] = d["leaves"] = 1
-            d["lo"] = d["hi"] = delay
-            return
-        if delay != 1:
+        if not children:
+            size, leaves, lo, hi = 1, 1, delay, delay
+        elif delay != 1:
             raise ValueError("only leaves carry a delay")
-        size, leaves, lo, hi = 1, 0, kids[0].lo, kids[0].hi
-        for c in kids:
-            size += c.size
-            leaves += c.leaves
-            if c.lo < lo:
-                lo = c.lo
-            if c.hi > hi:
-                hi = c.hi
-        d["size"], d["leaves"], d["lo"], d["hi"] = size, leaves, lo, hi
+        else:
+            size, leaves, lo, hi = 1, 0, children[0].lo, children[0].hi
+            for c in children:
+                size += c.size
+                leaves += c.leaves
+                if c.lo < lo:
+                    lo = c.lo
+                if c.hi > hi:
+                    hi = c.hi
+        _set(self, "children", children)
+        _set(self, "delay", delay)
+        # the plucking memo hashes every tree it meets, so each node keeps the
+        # hash of (children, delay), built on its children's, as its counts are
+        _set(self, "_hash", hash((children, delay)))
+        _set(self, "size", size)
+        _set(self, "leaves", leaves)
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._hash == other._hash and self.delay == other.delay
+                and self.children == other.children)
+
+    def __repr__(self):
+        return f"Node({render_tree(self)!r})"
+
+    def __reduce__(self):
+        return Node, (self.children, self.delay)
 
 
 Path = tuple[int, ...]
@@ -124,14 +134,6 @@ def parse_tree(text: str) -> Node:
     if i != len(text):
         raise ValueError(f"trailing text at position {i} in tree text")
     return out
-
-
-def vertex_count(t: Node) -> int:
-    return t.size
-
-
-def leaf_count(t: Node) -> int:
-    return t.leaves
 
 
 def subtree_at(t: Node, path: Path) -> Node:

@@ -6,10 +6,13 @@ exponents per weight, multiplied in by ``_add_product``, and a sorted tuple
 of frozen code pairs -- so the packed fold is checked against a fold that
 shares no arithmetic with it.  It reads the smoothing flag, the loop weight
 and the point order from ``kauffman`` at call time.
+
+``bracket_table_by_enumeration`` is the literal sum over all 2^(mn) marker
+grids, each smoothed by ``kauffman.smooth``.
 """
 
 from catlattice import kauffman as K
-from catlattice.laurent import ONE, Laurent, monomial_shift
+from catlattice.laurent import ONE, ZERO, Laurent, add, monomial, monomial_shift, mul
 
 
 def _add_product(table: dict, key, w: Laurent, factor: Laurent) -> None:
@@ -103,3 +106,26 @@ def _fold(m: int, n: int, allowed=None) -> dict:
             _add_product(nxt, (tuple(cols) + opened, frozen), w, ONE)
         table = nxt
     return {k: w for k, w in table.items() if w}
+
+
+def bracket_table_by_enumeration(m: int, n: int, budget_bits=None) -> dict:
+    """Literal sum over all 2^(mn) marker grids (slow reference path)."""
+    K._check_budget(m, n, budget_bits)
+    if m == 0 or n == 0:
+        return K.bracket_table(m, n, budget_bits)
+    table: dict = {}
+    for bits in range(1 << (m * n)):
+        cells = [1 if bits >> k & 1 else -1 for k in range(m * n)]
+        grid = tuple(
+            tuple(cells[r * n : (r + 1) * n]) for r in range(m)
+        )
+        state, loops = K.smooth(grid)
+        w = monomial(sum(cells))
+        for _k in range(loops):
+            w = mul(w, K.LOOP_WEIGHT)
+        total = add(table.get(state, ZERO), w)
+        if total:
+            table[state] = total
+        else:
+            table.pop(state, None)
+    return table

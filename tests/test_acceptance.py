@@ -137,13 +137,13 @@ def test_criterion_05_random_splits_and_wedges():
         dmax = rng.randint(1, 3)
         inside = _random_tree(rng, 6, list(range(1, dmax + 1)))
         tries = 0
-        while T.leaf_count(inside) < 2 and tries < 20:
+        while inside.leaves < 2 and tries < 20:
             inside = _random_tree(rng, 6, list(range(1, dmax + 1)))
             tries += 1
-        if T.leaf_count(inside) < 2:
+        if inside.leaves < 2:
             inside = T.Node((T.Node((), 1), T.Node((), dmax)))
         outside = _random_tree(
-            rng, 12 - T.vertex_count(inside), list(range(dmax, 5))
+            rng, 12 - inside.size, list(range(dmax, 5))
         )
         path = rng.choice(_vertex_paths(outside))
         host = T.subtree_at(outside, path)
@@ -160,7 +160,7 @@ def test_criterion_05_random_splits_and_wedges():
             return T.Node(tuple(kids))
 
         whole = rebuild(outside, path)
-        if T.vertex_count(whole) > 12:
+        if whole.size > 12:
             continue
         built += 1
         lhs = plucking_by_definition(whole)

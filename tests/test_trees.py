@@ -101,7 +101,6 @@ def test_stored_counts_match_their_recursive_definitions():
         for path in _vertex_paths(t):
             v = T.subtree_at(t, path)
             assert (v.size, v.leaves, v.lo, v.hi) == _counts(v), T.render_tree(v)
-        assert T.vertex_count(t) == t.size and T.leaf_count(t) == t.leaves
     # an inner vertex whose leaves all wait: its own delay of 1 is no leaf's
     t = T.parse_tree("((():3():2)())")
     inner = t.children[0]
@@ -111,16 +110,16 @@ def test_stored_counts_match_their_recursive_definitions():
 
 def test_counts_of_a_deep_path_need_no_recursion():
     p = T.path_tree(5000)
-    assert T.vertex_count(p) == 5001
-    assert T.leaf_count(p) == 1
+    assert p.size == 5001
+    assert p.leaves == 1
     assert (p.lo, p.hi) == (1, 1)
 
 
 def test_path_tree():
     p = T.path_tree(3)
     assert T.render_tree(p) == "(((())))"
-    assert T.vertex_count(p) == 4
-    assert T.leaf_count(p) == 1
+    assert p.size == 4
+    assert p.leaves == 1
     assert T.plucking(p) == L.ONE
     assert T.plucking(T.path_tree(7)) == L.ONE
 
