@@ -14,19 +14,17 @@ closed between finished points, one bit per pair of codes.
 ``bracket_table`` keeps every frontier; ``oracle_coefficient`` looks a
 state's key up in the cached fold of its grid; ``bracket_coefficient_at``
 drops the frontiers that can no longer end at its target, and keeps its
-recent answers in a bounded cache (``_pruned_fold``), keyed by the state
-and the smoothing convention, since local-family companions repeat.  The
-two fold a grid along its shorter side, keyed by the codes of the quarter
-turn (``_frontier_key``), and build no turned state.
+recent answers in a bounded cache (``_pruned_fold``), keyed by the state,
+since local-family companions repeat.  The two fold a grid along its
+shorter side, keyed by the codes of the quarter turn (``_frontier_key``),
+and build no turned state.
 
 Each fold weight is one int.  Multiplied by A^3 per crossing, a weight
 after t crossings is a polynomial in A^2 of degree at most 2t; slot s of
 K = m*n + 2 bits holds the coefficient of A^(2s - 3t), a balanced digit.
 No coefficient exceeds 2^(mn) in size, so K bits decode exactly (see
-``_fold``).  Keys and packed weights do not depend on
-``POSITIVE_JOINS_EAST``: a weight is decoded (``_unpack``) only where it
-leaves the fold, and clearing the flag negates every exponent, as a
-quarter turn of the diagram does.
+``_fold``).  A weight is decoded (``_unpack``) only where it leaves the
+fold; a quarter turn of the diagram negates every exponent.
 """
 
 from __future__ import annotations
@@ -37,23 +35,12 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .laurent import Laurent
-from .states import (
-    Connection,
-    Point,
-    _from_mate,
-    boundary_points,
-    new_connection,
-)
+from .states import Connection, _from_mate, new_connection
 
 MarkerGrid = tuple[tuple[int, ...], ...]
 
 #: Bracket weight of one closed loop.
 LOOP_WEIGHT: Laurent = {-2: -1, 2: -1}
-
-#: Smoothing convention: a +1 marker joins north-east and south-west tile
-#: ports (so -1 joins north-west and south-east).  Flipping this swaps the
-#: roles of the two markers everywhere; calibration tests pin the choice.
-POSITIVE_JOINS_EAST = True
 
 DEFAULT_BUDGET_BITS = 20
 
@@ -91,7 +78,9 @@ def _check_budget(m: int, n: int, budget_bits) -> None:
 
 
 def smooth(grid: MarkerGrid) -> Resolution:
-    """Replace every crossing by its marker smoothing.
+    """Replace every crossing by its marker smoothing: a +1 marker joins
+    the north and east tile ports (and south and west), a -1 marker north
+    and west (and south and east).
 
     INPUT: a nonempty rectangular tuple of rows of +1/-1 markers.
 
@@ -125,7 +114,7 @@ def smooth(grid: MarkerGrid) -> Resolution:
                 raise ValueError(f"bad marker {marker!r}")
             north, west = (i, j, "N"), (i, j, "W")
             south, east = (i + 1, j, "N"), (i, j + 1, "W")
-            if (marker == 1) == POSITIVE_JOINS_EAST:
+            if marker == 1:
                 union(north, east)
                 union(south, west)
             else:
@@ -154,26 +143,18 @@ def smooth(grid: MarkerGrid) -> Resolution:
     return Resolution(new_connection(m, n, n, pairs), loops)
 
 
-def _points(m: int, n: int) -> list[Point]:
-    """Finished boundary points in fold order; ``points[k]`` has code -1 - k."""
-    points: list[Point] = [("T", j) for j in range(1, n + 1)]
-    for i in range(1, m + 1):
-        points += [("L", i), ("R", i)]
-    return points
-
-
 def _fold(m: int, n: int, allowed=None) -> dict:
     """Sum the marker grids of the m x n grid one crossing at a time.
 
     The frontier after each cell has n + 1 slots: slot j is the open
     vertical port of column j, slot n the horizontal port of the current
     row.  A slot holds the index of its mate slot when its strand ends on
-    the frontier, or the negative code ``-1 - k`` of the finished boundary
-    point ``_points(m, n)[k]`` its strand ends at.  Strands with both ends on
-    finished points are frozen: an int with one bit per code pair, bit
-    number ``_codes(m, n)[2][a][b]`` for codes a and b.  The key
-    (slots, frozen) carries the summed weight of all marker choices so far
-    that lead to it.
+    the frontier, or the negative code of the finished boundary point its
+    strand ends at (``_codes``: -j for T_j, -n - 2i + 1 for L_i, -n - 2i
+    for R_i).  Strands with both ends on finished points are frozen: an int
+    with one bit per code pair, bit number ``_codes(m, n)[2][a][b]`` for
+    codes a and b.  The key (slots, frozen) carries the summed weight of all
+    marker choices so far that lead to it.
 
     Each cell takes two branches: north joins east and south joins west
     (weight A), or north joins west and south joins east (weight A^-1),
@@ -191,9 +172,6 @@ def _fold(m: int, n: int, allowed=None) -> dict:
     ``allowed`` given, a bitmask of code pairs, a branch that would freeze
     a pair outside it is dropped.
 
-    Keys and weights do not depend on ``POSITIVE_JOINS_EAST``: the flag
-    swaps A and A^-1, which ``_unpack`` applies.
-
     OUTPUT: {(columns, frozen): packed weight} after the last row, where
     ``columns`` holds the n column slots that end at B_1..B_n.
     """
@@ -203,9 +181,7 @@ def _fold(m: int, n: int, allowed=None) -> dict:
     K2 = 2 * K
     bits = _codes(m, n)[2]
     h = n
-    code = {p: -1 - k for k, p in enumerate(_points(m, n))}
-    start = tuple(code[("T", j)] for j in range(1, n + 1))
-    start += (code[("L", 1)],) if m else ()
+    start = tuple(range(-1, -n - 1, -1)) + ((-n - 1,) if m else ())
     table: dict = {(start, 0): 1}
     for i in range(1, m + 1):
         for c in range(n):
@@ -241,8 +217,8 @@ def _fold(m: int, n: int, allowed=None) -> dict:
                 key = (tuple(s), frozen)
                 nxt[key] = get(key, 0) + (w << K)
             table = nxt
-        right = code[("R", i)]  # the lowest code so far
-        opened = (code[("L", i + 1)],) if i < m else ()
+        right = -n - 2 * i  # R_i, the lowest code so far
+        opened = (right - 1,) if i < m else ()  # L_(i+1)
         nxt = {}
         get = nxt.get
         for (slots, frozen), w in table.items():
@@ -261,13 +237,13 @@ def _fold(m: int, n: int, allowed=None) -> dict:
     return {k: w for k, w in table.items() if w}
 
 
-def _unpack(w: int, m: int, n: int, positive: bool) -> Laurent:
+def _unpack(w: int, m: int, n: int, unturned: bool) -> Laurent:
     """The Laurent polynomial of a packed m x n fold weight (see ``_fold``):
-    slot s is the coefficient of A^(2s - 3mn), or of A^(3mn - 2s) unless
-    ``positive`` (a +1 marker joining north-east, with no quarter turn)."""
+    slot s is the coefficient of A^(2s - 3mn) when ``unturned``, or of
+    A^(3mn - 2s) when the fold was of the quarter turn of the diagram."""
     K = m * n + 2
     half, full, digit = 1 << (K - 1), 1 << K, (1 << K) - 1
-    e, step = (-3 * m * n, 2) if positive else (3 * m * n, -2)
+    e, step = (-3 * m * n, 2) if unturned else (3 * m * n, -2)
     out: Laurent = {}
     while w:
         c = w & digit
@@ -300,21 +276,25 @@ def bracket_table(m: int, n: int, budget_bits=None) -> dict[Connection, Laurent]
         mate = [0] * len(codes)
         for a, b in ends:
             mate[where[a]], mate[where[b]] = where[b], where[a]
-        table[_from_mate(m, n, n, mate)] = _unpack(w, m, n, POSITIVE_JOINS_EAST)
+        table[_from_mate(m, n, n, mate)] = _unpack(w, m, n, True)
     return table
 
 
 @lru_cache(maxsize=64)
 def _codes(m: int, n: int) -> tuple:
-    """Fold code of each clockwise position of Cat(m, n) -- ``-1 - k`` for
-    ``_points(m, n)[k]``, column j - 1 for B_j -- the position of each
-    code, and the index of the frozen-pair bit of two point codes a and b
-    (``bits[a][b]``, indexed by the negative codes themselves; read
+    """Fold code of each clockwise position of Cat(m, n) -- -j for T_j,
+    -n - 2i for R_i, j - 1 for B_j, -n - 2i + 1 for L_i -- the position of
+    each code, and the index of the frozen-pair bit of two point codes a
+    and b (``bits[a][b]``, indexed by the negative codes themselves; read
     only)."""
-    points = _points(m, n)
-    code = {p: -1 - k for k, p in enumerate(points)}
-    codes = tuple(code.get(p, p[1] - 1) for p in boundary_points(m, n, n))
-    P = len(points)
+    rows = range(1, m + 1)
+    codes = (
+        *range(-1, -n - 1, -1),
+        *(-n - 2 * i for i in rows),
+        *range(n - 1, -1, -1),
+        *(-n - 2 * i + 1 for i in reversed(rows)),
+    )
+    P = n + 2 * m
     bits = [[0] * P for _ in range(P)]
     for i, (a, b) in enumerate(combinations(range(-P, 0), 2)):
         bits[a][b] = bits[b][a] = i
@@ -353,7 +333,7 @@ def oracle_coefficient(C: Connection, budget_bits=None) -> Laurent:
     the shorter side, which Cat(m,n) and Cat(n,m) share."""
     _check_budget(C.m, C.n, budget_bits)
     w = _shape_fold(max(C.m, C.n), min(C.m, C.n)).get(_frontier_key(C), 0)
-    return _unpack(w, C.m, C.n, POSITIVE_JOINS_EAST != (C.n > C.m))
+    return _unpack(w, C.m, C.n, C.n <= C.m)
 
 
 def bracket_coefficient_at(C: Connection) -> Laurent:
@@ -375,15 +355,15 @@ def bracket_coefficient_at(C: Connection) -> Laurent:
     """
     if not C.is_catalan:
         raise ValueError("connection is not a Catalan state")
-    return dict(_pruned_fold(C, POSITIVE_JOINS_EAST))
+    return dict(_pruned_fold(C))
 
 
 # local-family companions depend on the arch pattern alone, and the engine
 # builds one per pattern, so a family sweep asks about few states many times
 @lru_cache(maxsize=256)
-def _pruned_fold(C: Connection, positive_joins_east: bool) -> Laurent:
-    """The pruned-fold value of a Catalan state under the given smoothing
-    convention (shared between callers, so read only)."""
+def _pruned_fold(C: Connection) -> Laurent:
+    """The pruned-fold value of a Catalan state (shared between callers, so
+    read only)."""
     key = _frontier_key(C)
     w = _fold(max(C.m, C.n), min(C.m, C.n), allowed=key[1]).get(key, 0)
-    return _unpack(w, C.m, C.n, positive_joins_east != (C.n > C.m))
+    return _unpack(w, C.m, C.n, C.n <= C.m)

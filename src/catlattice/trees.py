@@ -29,14 +29,6 @@ from typing import NamedTuple, Optional
 from .laurent import Laurent, ONE, ZERO, add, monomial_shift, mul
 from .states import _Value, _set, _shape, classify
 
-#: Child order used when a tree is built from a state: word order
-#: (left-to-right along the unfolded top).  Flipping mirrors every level.
-CHILDREN_LEFT_TO_RIGHT = True
-
-#: Count vertices to the right of the root-to-leaf path (the calibrated
-#: choice); flipping counts to the left.
-COUNT_RIGHT_OF_PATH = True
-
 
 class Node(_Value):
     """A vertex with its children in plane order and, if a leaf, a delay."""
@@ -180,15 +172,14 @@ def pluckable_leaves(t: Node) -> list[Path]:
 
 
 def right_count(t: Node, path: Path) -> int:
-    """Vertices strictly to one side of the root-to-leaf path (right, by
-    calibration) — the q-exponent contributed by plucking that leaf."""
+    """Vertices strictly to the right of the root-to-leaf path — the
+    q-exponent contributed by plucking that leaf."""
     if not path:
         raise ValueError("the root is not a leaf")
     total = 0
     node = t
     for k in path:
-        flank = node.children[k + 1 :] if COUNT_RIGHT_OF_PATH else node.children[:k]
-        total += sum(c.size for c in flank)
+        total += sum(c.size for c in node.children[k + 1 :])
         node = node.children[k]
     if node.children:
         raise ValueError("path does not end at a leaf")
@@ -367,10 +358,9 @@ def tree_from_state(C) -> Node:
         _, delay, kids = rec
         if not kids:
             return Node((), delay)
-        ordered = kids if CHILDREN_LEFT_TO_RIGHT else list(reversed(kids))
-        return Node(tuple(build(kid) for kid in ordered))
+        return Node(tuple(build(kid) for kid in kids))
 
-    top = [build(r) for r in (roots if CHILDREN_LEFT_TO_RIGHT else reversed(roots))]
+    top = [build(r) for r in roots]
     node = Node(tuple(top)) if top or n == 0 else Node((), 1)
     for _ in range(n):
         node = Node((node,))

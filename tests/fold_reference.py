@@ -4,8 +4,9 @@
 pairs into one bitmask.  This copy keeps the earlier form -- a dict of
 exponents per weight, multiplied in by ``_add_product``, and a sorted tuple
 of frozen code pairs -- so the packed fold is checked against a fold that
-shares no arithmetic with it.  It reads the smoothing flag, the loop weight
-and the point order from ``kauffman`` at call time.
+shares no arithmetic with it.  It reads the loop weight from ``kauffman``
+and keeps its own point order (``_points``), so it shares no encoding with
+the packed fold either.
 
 ``bracket_table_by_enumeration`` is the literal sum over all 2^(mn) marker
 grids, each smoothed by ``kauffman.smooth``.
@@ -30,6 +31,14 @@ def _add_product(table: dict, key, w: Laurent, factor: Laurent) -> None:
                 del acc[e]
 
 
+def _points(m: int, n: int) -> list:
+    """Finished boundary points in fold order; ``points[k]`` has code -1 - k."""
+    points = [("T", j) for j in range(1, n + 1)]
+    for i in range(1, m + 1):
+        points += [("L", i), ("R", i)]
+    return points
+
+
 def _fold(m: int, n: int, allowed=None) -> dict:
     """Sum the marker grids of the m x n grid one crossing at a time.
 
@@ -43,18 +52,17 @@ def _fold(m: int, n: int, allowed=None) -> dict:
     choices so far that lead to it.
 
     Each cell takes two branches: north joins east and south joins west
-    (weight A under ``POSITIVE_JOINS_EAST``), or north joins west and
-    south joins east (weight A^-1), which closes a loop when north and west
-    are mates.  Opening row i puts L_i in slot n; closing it ends slot n's
-    strand at R_i.  With ``allowed`` given, a branch that would freeze a
-    pair outside it is dropped.
+    (weight A), or north joins west and south joins east (weight A^-1),
+    which closes a loop when north and west are mates.  Opening row i puts
+    L_i in slot n; closing it ends slot n's strand at R_i.  With
+    ``allowed`` given, a branch that would freeze a pair outside it is
+    dropped.
 
     OUTPUT: {(columns, frozen): weight} after the last row, where
     ``columns`` holds the n column slots that end at B_1..B_n.
     """
-    e = 1 if K.POSITIVE_JOINS_EAST else -1
-    ne, nw, nw_loop = {e: 1}, {-e: 1}, monomial_shift(K.LOOP_WEIGHT, -e)
-    code = {p: -1 - k for k, p in enumerate(K._points(m, n))}
+    ne, nw, nw_loop = {1: 1}, {-1: 1}, monomial_shift(K.LOOP_WEIGHT, -1)
+    code = {p: -1 - k for k, p in enumerate(_points(m, n))}
     h = n
     start = tuple(code[("T", j)] for j in range(1, n + 1))
     start += (code[("L", 1)],) if m else ()

@@ -56,7 +56,7 @@ from catlattice.states import (
     is_proper_arc,
     new_connection,
 )
-from catlattice.trees import CHILDREN_LEFT_TO_RIGHT, Node
+from catlattice.trees import Node
 
 
 # -- reference definitions ------------------------------------------------------
@@ -420,10 +420,9 @@ def ref_tree_from_state(C) -> Node:
         a, b, kids = rec
         if not kids:
             return Node((), arch_delay(a, b))
-        ordered = kids if CHILDREN_LEFT_TO_RIGHT else list(reversed(kids))
-        return Node(tuple(build(kid) for kid in ordered))
+        return Node(tuple(build(kid) for kid in kids))
 
-    top = [build(r) for r in (roots if CHILDREN_LEFT_TO_RIGHT else reversed(roots))]
+    top = [build(r) for r in roots]
     node = Node(tuple(top)) if top or n == 0 else Node((), 1)
     for _ in range(n):
         node = Node((node,))

@@ -4,8 +4,8 @@
 K = m*n + 2 bits per slot) and each set of frozen pairs as one bitmask;
 ``fold_reference._fold`` is the former fold, with one Laurent dict per
 weight and a sorted tuple of frozen pairs.  Every final entry must decode
-to the same polynomial, under both smoothing conventions, for full and
-for target-pruned folds.
+to the same polynomial, for full and for target-pruned folds, and to its
+mirror image (A inverted) when decoded as the weight of a quarter turn.
 """
 
 import random
@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 import fold_reference as R
 from catlattice import kauffman as K
 from catlattice import states as S
+from catlattice.laurent import substitute_power
 from test_boundary_view import random_state
 
 SHAPES = [(m, n) for m in range(6) for n in range(6) if m * n <= 12]
@@ -36,8 +37,8 @@ def pairs_of(m, n, mask):
     return {(a, b) for a in range(-P, 0) for b in range(a + 1, 0) if mask >> bits[a][b] & 1}
 
 
-def decoded(m, n, table, positive):
-    return {key: K._unpack(w, m, n, positive) for key, w in table.items()}
+def decoded(m, n, table, unturned=True):
+    return {key: K._unpack(w, m, n, unturned) for key, w in table.items()}
 
 
 def reference(m, n, allowed=None):
@@ -47,15 +48,18 @@ def reference(m, n, allowed=None):
     return {(cols, mask_of(m, n, frozen)): w for (cols, frozen), w in table.items() if w}
 
 
-@pytest.mark.parametrize("positive", [True, False])
+@pytest.mark.parametrize("unturned", [True, False])
 @pytest.mark.parametrize("m, n", SHAPES)
-def test_packed_fold_equals_the_dict_fold(monkeypatch, m, n, positive):
-    monkeypatch.setattr(K, "POSITIVE_JOINS_EAST", positive)
-    got = decoded(m, n, K._fold(m, n), positive)
-    assert got == reference(m, n)
-    # slot s of a weight is A^(2s - 3mn), s = 0..2mn
+def test_packed_fold_equals_the_dict_fold(m, n, unturned):
+    got = decoded(m, n, K._fold(m, n), unturned)
+    want = reference(m, n)
+    if not unturned:  # a quarter turn inverts A
+        want = {key: substitute_power(w, -1) for key, w in want.items()}
+    assert got == want
+    # slot s of a weight is A^(2s - 3mn), s = 0..2mn, or its inverse
+    lo, hi = (-3 * m * n, m * n) if unturned else (-m * n, 3 * m * n)
     for value in got.values():
-        assert all(-3 * m * n <= e <= m * n for e in value), (m, n, value)
+        assert all(lo <= e <= hi for e in value), (m, n, value)
 
 
 def test_pruned_packed_fold_equals_the_dict_fold():
@@ -66,7 +70,7 @@ def test_pruned_packed_fold_equals_the_dict_fold():
             while not S.is_realizable(C):  # an unrealizable target folds to 0
                 C = random_state(rng, m, n)
             cols, mask = K._frontier_key(C)
-            got = decoded(m, n, K._fold(m, n, allowed=mask), True)
+            got = decoded(m, n, K._fold(m, n, allowed=mask))
             want = reference(m, n, allowed=pairs_of(m, n, mask))
             assert got == want, C
             assert got[cols, mask] == K.bracket_coefficient_at(C) != {}

@@ -65,22 +65,16 @@ def test_bracket_table_matches_plain_enumeration():
         assert fold == plain, (m, n)
 
 
-def test_bracket_table_follows_the_smoothing_flag(monkeypatch):
-    monkeypatch.setattr(K, "POSITIVE_JOINS_EAST", False)
-    assert K.bracket_table(2, 2) == bracket_table_by_enumeration(2, 2)
-
-
-def test_fold_caches_follow_a_flag_flip(monkeypatch):
-    # cat(1,1): T1-R1, L1-B1 is the +1 marker's resolution: A, then A^-1
+def test_fold_caches_agree_with_enumeration():
+    # cat(1,1): T1-R1, L1-B1 is the +1 marker's resolution, weight A
     one = S.parse_state("cat(1,1): T1-R1, L1-B1")
     states = [one, *S.enumerate_catalan(1, 2), *S.enumerate_catalan(2, 2)]
-    for positive in (True, False):
-        monkeypatch.setattr(K, "POSITIVE_JOINS_EAST", positive)
-        for C in states:  # the first pass warms both caches
+    for _ in range(2):  # the first pass warms both caches
+        for C in states:
             want = bracket_table_by_enumeration(C.m, C.n).get(C, L.ZERO)
-            assert K.oracle_coefficient(C) == want, (positive, C)
-            assert K.bracket_coefficient_at(C) == want, (positive, C)
-        assert K.oracle_coefficient(one) == ({1: 1} if positive else {-1: 1})
+            assert K.oracle_coefficient(C) == want, C
+            assert K.bracket_coefficient_at(C) == want, C
+    assert K.oracle_coefficient(one) == {1: 1}
 
 
 def test_bracket_table_support_is_the_realizable_set():

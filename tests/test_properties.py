@@ -1,7 +1,9 @@
-"""Property tests over seeded random states with mn <= 12, and trees.
+"""Property tests over seeded random states with mn <= 20, and trees.
 
 Each state example is a random noncrossing matching of the Cat(m,n)
-boundary (``random_state``), drawn from a shape and a seed; each tree
+boundary (``random_state``), drawn from a shape and a seed: mn <= 12 for
+the symmetry and round-trip properties, 9 < mn <= 20 (past the exhaustive
+range of the acceptance tests) for the trace product; each tree
 example is a random plane tree (``rand_plane_tree``) of up to 40 vertices,
 past the reach of the plucking definition.  ``derandomize`` keeps the
 examples the same from run to run.
@@ -11,6 +13,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from catlattice import kauffman as K
 from catlattice import states as S
 from catlattice.coeff import coefficient
 from catlattice import trees as T
@@ -20,10 +23,18 @@ from test_trees import rand_plane_tree
 
 SHAPES = [(m, n) for m in range(1, 13) for n in range(1, 13) if m * n <= 12]
 
-catalan_states = st.builds(
-    lambda shape, seed: random_state(random.Random(seed), *shape),
-    st.sampled_from(SHAPES),
-    st.integers(min_value=0, max_value=2**32 - 1),
+
+def states_of(shapes):
+    return st.builds(
+        lambda shape, seed: random_state(random.Random(seed), *shape),
+        st.sampled_from(shapes),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+
+
+catalan_states = states_of(SHAPES)
+wide_states = states_of(
+    [(m, n) for m in range(1, 21) for n in range(1, 21) if 9 < m * n <= 20]
 )
 
 plain_trees = st.builds(
@@ -59,6 +70,17 @@ def test_half_turn_keeps_the_coefficient(C):
 def test_quarter_turn_inverts_a(C):
     turned = coefficient(S.rotate_quarter(C))[0]
     assert turned == substitute_power(coefficient(C)[0], -1)
+
+
+@examples
+@given(wide_states)
+def test_trace_factors_multiply_to_the_oracle_value(C):
+    value, trace = coefficient(C)
+    product = ONE
+    for step in trace:
+        product = mul(product, step.factor)
+    assert product == value
+    assert value == K.bracket_coefficient_at(C)
 
 
 def _q_multinomial_product(t):
