@@ -23,7 +23,7 @@ from .states import (
     parse_state,
     render_state,
 )
-from .trees import Node, parse_tree, plucking, plucking_factored, render_tree
+from .trees import Node, parse_tree, plucking, render_tree
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,6 @@ __all__ = [
     "parse_state",
     "parse_tree",
     "plucking",
-    "plucking_factored",
     "q_binomial",
     "render",
     "render_state",

@@ -83,7 +83,7 @@ def _cmd_reductions(args) -> int:
             name = "-".join(map(states._point_text, arc))
             print(f"removable {name}: {laurent.render(laurent.monomial(b - a))}")
         for fam in engine.iter_vertical_factorizations(C):
-            names = ", ".join(f"{p[0]}{p[1]}-{q[0]}{q[1]}" for p, q in fam.arcs)
+            names = ", ".join("-".join(map(states._point_text, a)) for a in fam.arcs)
             print(f"family start={fam.start} length={fam.length}: {names}")
     return 0
 

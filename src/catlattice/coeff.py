@@ -222,7 +222,7 @@ def coefficient(
     value, the list and every step's factor are fresh copies, so callers
     may mutate them.
     """
-    value, steps = _reduce(C, frozenset(), _budget(budget_bits))
+    value, steps = _reduce(C, _budget(budget_bits))
     return dict(value), [TraceStep(s.kind, s.detail, dict(s.factor)) for s in steps]
 
 
@@ -235,10 +235,12 @@ def _tree_step(C: Connection) -> tuple[Laurent, tuple[TraceStep, ...]]:
 
 
 @lru_cache(maxsize=64)
-def _reduce(C, seen, budget) -> tuple[Laurent, tuple[TraceStep, ...]]:
-    """(value, trace steps) of C, never revisiting a local-family remainder
-    in ``seen``, under an oracle budget of ``budget`` bits (shared between
-    callers, so read only)."""
+def _reduce(C, budget) -> tuple[Laurent, tuple[TraceStep, ...]]:
+    """(value, trace steps) of C under an oracle budget of ``budget`` bits
+    (shared between callers, so read only).  No chain of rewrites returns
+    to a state: a removable arc drops a row, and a family rewrite keeps the
+    shape but lowers the count of arcs with clockwise-neighbour ends, since
+    its rainbow is the one matching of its interval with a single such arc."""
     if not is_realizable(C):
         zero = dict(ZERO)
         return zero, (
@@ -262,14 +264,14 @@ def _reduce(C, seen, budget) -> tuple[Laurent, tuple[TraceStep, ...]]:
             ),
         )
         for part in parts:
-            part_value, part_steps = _reduce(part, frozenset(), budget)
+            part_value, part_steps = _reduce(part, budget)
             value = mul(value, part_value)
             steps += part_steps
         return value, steps
     step = reduce_removable(C)
     if step is not None:
         factor, reduced, arc = step
-        value, steps = _reduce(reduced, seen, budget)
+        value, steps = _reduce(reduced, budget)
         removal = TraceStep(
             "removable-arc", f"{_point_text(arc[0])}-{_point_text(arc[1])}", factor
         )
@@ -278,11 +280,8 @@ def _reduce(C, seen, budget) -> tuple[Laurent, tuple[TraceStep, ...]]:
         lam_mate = _rainbow(C.mate, fam.start, fam.length)
         if lam_mate == C.mate:
             continue  # the family already is the rainbow, so C_lam == C
-        C_lam = _from_mate(C.m, C.n, C.n, lam_mate)
-        if C_lam in seen:
-            continue
-        left, left_steps = _reduce(_companion(C, fam), frozenset(), budget)
-        right, right_steps = _reduce(C_lam, seen | {C}, budget)
+        left, left_steps = _reduce(_companion(C, fam), budget)
+        right, right_steps = _reduce(_from_mate(C.m, C.n, C.n, lam_mate), budget)
         split = TraceStep(
             "vertical-factor",
             f"{fam.length // 2} arcs at boundary offset {fam.start}",
@@ -324,14 +323,20 @@ def _bracket(c: int) -> Laurent:
     return out
 
 
+def _quotient(P: Laurent, d: Laurent) -> Optional[Laurent]:
+    """P / d, or None where d does not divide P."""
+    try:
+        return div_exact(P, d)
+    except ValueError:
+        return None
+
+
 def _divide_out(P: Laurent, d: Laurent) -> tuple[Laurent, int]:
     """P with every factor d divided out, and how many there were."""
     times = 0
-    while True:
-        try:
-            P, times = div_exact(P, d), times + 1
-        except ValueError:
-            return P, times
+    while (Q := _quotient(P, d)) is not None:
+        P, times = Q, times + 1
+    return P, times
 
 
 def lm3_closed_form(C: Connection) -> Lm3Form:
@@ -339,18 +344,15 @@ def lm3_closed_form(C: Connection) -> Lm3Form:
 
     Vertically decomposable states have coefficient A^a Y^b X^c and the
     others A^a Y^b (Y^(2c) - 1)/X, with Y = A^-2 + A^2, X = A^-4 + 1 + A^4.
-    P comes from the engine, or from the pruned fold where no reduction
-    applies and the grid exceeds the oracle budget.  A failed fit raises:
-    the shapes are guaranteed, so failure is a bug.
+    P comes from the pruned fold (``bracket_coefficient_at``), which needs
+    no oracle budget.  A failed fit raises: the shapes are guaranteed, so
+    failure is a bug.
     """
     if C.n != 3:
         raise ValueError("closed forms need width 3")
     if not is_realizable(C):
         raise ValueError("state is not realizable")
-    try:
-        P, _ = coefficient(C)
-    except BudgetError:
-        P = bracket_coefficient_at(C)
+    P = bracket_coefficient_at(C)
     if is_vertically_decomposable(C) is not None:
         P, c = _divide_out(P, _X)
         P, b = _divide_out(P, _Y)
@@ -359,9 +361,8 @@ def lm3_closed_form(C: Connection) -> Lm3Form:
         return Lm3Form("decomposable", min_degree(P), b, c)
     PX = mul(P, _X)
     for b in (0, 1):
-        try:
-            S = div_exact(PX, power(_Y, b))
-        except ValueError:
+        S = _quotient(PX, power(_Y, b))
+        if S is None:
             continue
         span = max_degree(S) - min_degree(S)
         if span % 8:
@@ -369,10 +370,7 @@ def lm3_closed_form(C: Connection) -> Lm3Form:
         c = span // 8
         if c < 1:
             continue
-        try:
-            residue = div_exact(S, _bracket(c))
-        except ValueError:
-            continue
+        residue = _quotient(S, _bracket(c)) or {}
         if is_monomial(residue) and residue[min_degree(residue)] == 1:
             return Lm3Form("indecomposable", min_degree(residue), b, c)
     raise AssertionError("indecomposable fit failed")

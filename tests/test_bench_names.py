@@ -9,7 +9,6 @@ import importlib.util
 from collections.abc import Iterator
 from pathlib import Path
 
-import catlattice
 from catlattice import coeff, states, trees
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -53,7 +52,6 @@ def test_workload_names_exist():
         assert hasattr(module, name), f"{mod}.{name}"
     # the benchmark's name for plucking must stay the one evaluator
     assert trees.plucking_factored is trees.plucking
-    assert catlattice.plucking_factored is trees.plucking
 
 
 def test_the_traced_removable_scan_is_held_by_coeff():

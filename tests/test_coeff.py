@@ -107,6 +107,47 @@ def test_family_product_rule_small_sweep():
             ), (S.render_state(C), fam)
 
 
+def neighbour_arcs(mate):
+    """How many arcs join clockwise-neighbour positions."""
+    N = len(mate)
+    return sum(mate[k] == (k + 1) % N for k in range(N))
+
+
+def test_family_rewrites_lose_a_neighbour_arc():
+    # the measure that keeps a reduction chain from returning to a state:
+    # a family rewrite keeps the shape and strictly lowers it
+    steps = 0
+    for m in range(1, 9):
+        for n in range(1, 8 // m + 1):
+            for C in S.enumerate_catalan(m, n):
+                for fam in E.iter_vertical_factorizations(C):
+                    lam_mate = S._rainbow(C.mate, fam.start, fam.length)
+                    if lam_mate == C.mate:
+                        continue
+                    assert neighbour_arcs(lam_mate) < neighbour_arcs(C.mate), (
+                        S.render_state(C), fam
+                    )
+                    steps += 1
+    assert steps == 9040
+
+
+def test_two_family_chain():
+    C = S.parse_state(
+        "cat(3,5): T1-T2, T3-T4, T5-R1, L1-L2, L3-B1, R2-B2, R3-B5, B3-B4"
+    )
+    value, trace = E.coefficient(C)
+    assert [s.kind for s in trace] == [
+        "vertical-factor",
+        "tree-formula",
+        "removable-arc",
+        "vertical-factor",
+        "tree-formula",
+        "oracle",
+    ]
+    assert value == K.oracle_coefficient(C)
+    assert product_of_factors(trace) == value
+
+
 def test_frozen_sample_family_still_detected():
     fam = samples.factor_sample_family()
     assert (fam.start, fam.length) == samples.FACTOR_SAMPLE_WINDOW
