@@ -10,7 +10,12 @@ whose factors multiply back to the reported value.
 The reductions leave smaller states, and across a stream of states those
 recur, so ``_reduce`` keeps one bounded per-state memo of the reduction:
 a repeated state's value and trace steps are reused, not rebuilt.
-``coefficient`` hands out fresh copies of both.
+``coefficient`` hands out fresh copies of both.  Most of the reuse is at
+the leaves, the tree-formula and oracle states, which recur from one item
+to the next; the bound of 512 entries holds them across a table of states.
+A cold pass over every 4th Cat(4,5) state makes 2,424 reductions at 64
+entries, 2,138 at 512 and 1,986 with no bound; all of Cat(4,5) makes
+8,216, 6,743 and 5,931.
 """
 
 from __future__ import annotations
@@ -234,7 +239,10 @@ def _tree_step(C: Connection) -> tuple[Laurent, tuple[TraceStep, ...]]:
     return value, (TraceStep("tree-formula", f"m={C.m} n={C.n} beta={b}", value),)
 
 
-@lru_cache(maxsize=64)
+# 512 entries hold a table's recurring leaves (module docstring); 1024
+# saves few more reductions on the Cat(4,5) pass (2,011 against 2,138)
+# and costs 0.5 to 1 kB of memory an entry
+@lru_cache(maxsize=512)
 def _reduce(C, budget) -> tuple[Laurent, tuple[TraceStep, ...]]:
     """(value, trace steps) of C under an oracle budget of ``budget`` bits
     (shared between callers, so read only).  No chain of rewrites returns

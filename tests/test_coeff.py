@@ -1,5 +1,6 @@
 """The coefficient engine: strategy pipeline, traces, and closed forms."""
 
+import functools
 import importlib.util
 import random
 from pathlib import Path
@@ -340,6 +341,26 @@ def test_reduction_memo_answers_are_fresh_copies():
     assert E.render_trace(again_trace) == want_trace
     assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
 
+
+
+def test_one_shape_stream_reduces_each_state_once(monkeypatch):
+    # a table of one shape reaches the same leaves from item to item; the
+    # bounded memo must hold them, reducing no state more often than an
+    # unbounded memo of the same reductions does
+    every = list(S.enumerate_catalan(3, 4))
+    assert len(every) == 429
+
+    def misses():
+        E._reduce.cache_clear()
+        for C in every:
+            E.coefficient(C)
+        return E._reduce.cache_info().misses
+
+    bounded = misses()
+    monkeypatch.setattr(
+        E, "_reduce", functools.lru_cache(maxsize=None)(E._reduce.__wrapped__)
+    )
+    assert bounded == misses()
 
 REMOVE_THEN_ORACLE = "cat(2,3): T1-T2, T3-R1, L1-L2, R2-B1, B2-B3"
 
