@@ -62,7 +62,7 @@ from .states import (
     split_at,
     view,
 )
-from .trees import plucking, tree_from_state
+from .trees import arch_tree, plucking
 
 
 class TraceStep(NamedTuple):
@@ -87,15 +87,15 @@ def oracle_step(C: Connection, value: Laurent) -> TraceStep:
 def coeff_no_bottom_returns(C: Connection) -> Laurent:
     """Coefficient of a state whose bottom edge carries no return.
 
-    The state's plane rooted tree T(C) determines everything: the value is
-    A^(2*beta - mn) times the plucking polynomial of T(C), normalized to
-    minimum degree 0 and evaluated at q = A^-4.
+    The value is A^(2*beta - mn) times the plucking polynomial of T(C), the
+    state's plane rooted tree, plucked below its root path (``arch_tree``),
+    normalized to minimum degree 0 and evaluated at q = A^-4.
     """
     if classify(C).bottom_returns:
         raise ValueError("state has bottom returns")
     if not is_realizable(C):
         return dict(ZERO)
-    q = star_normalize(plucking(tree_from_state(C)))
+    q = star_normalize(plucking(arch_tree(C)))
     return monomial_shift(substitute_power(q, -4), 2 * beta(C) - C.m * C.n)
 
 

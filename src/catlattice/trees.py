@@ -8,10 +8,11 @@ wait for two plucks elsewhere before it becomes removable.
 The plucking polynomial Q(T) sums q^(right count) over all ways of
 repeatedly plucking a currently-allowed leaf, where plucking ticks every
 other leaf's delay down (never below 1) and a leaf is allowed when its
-delay is 1.  :func:`plucking` evaluates it by factoring at splitting
-subtrees, Q(T) = Q(T') Q(T''), and sums over plucks only where no
-splitting subtree exists.  A run of sibling subtrees T' splits off when
-its greatest leaf delay is at most the least leaf delay outside it.
+delay is 1.  :func:`plucking` strips the root path, Q(T) = Q(T_v) at the
+first vertex v with two or more children, then factors at splitting
+subtrees, Q(T) = Q(T') Q(T''), and sums over plucks only where no split
+exists.  A run of sibling subtrees T' splits off when its greatest leaf
+delay is at most the least leaf delay outside it.
 
 Every node stores its counts at construction, from its children's:
 vertex count ``size``, ``leaves``, and the least and greatest leaf delay
@@ -65,8 +66,14 @@ class Node(_Value):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self._hash == other._hash and self.delay == other.delay
-                and self.children == other.children)
+        pairs = [(self, other)]  # a loop, so trees of any depth compare
+        for a, b in pairs:
+            if a is not b:
+                if (a._hash != b._hash or a.delay != b.delay
+                        or len(a.children) != len(b.children)):
+                    return False
+                pairs.extend(zip(a.children, b.children))
+        return True
 
     def __repr__(self):
         return f"Node({render_tree(self)!r})"
@@ -283,9 +290,10 @@ def find_splitting_subtree(t: Node) -> Optional[Split]:
 def plucking(t: Node) -> Laurent:
     """The plucking polynomial Q(T) in the variable q.
 
-    Q(T) = Q(T') * Q(T'') at the first splitting subtree T' (T'' is its
-    complementary tree); with no split, Q(T) sums q^(right count) * Q(T - v)
-    over the pluckable leaves v.
+    Q(T) = Q(T_v) at the first vertex v with two or more children (the root
+    path plucks last, at q^0); below it Q(T) = Q(T') * Q(T'') at the first
+    splitting subtree T' (T'' is its complementary tree); with no split,
+    Q(T) sums q^(right count) * Q(T - v) over the pluckable leaves v.
     """
     return dict(_plucking(t))
 
@@ -294,10 +302,12 @@ def plucking(t: Node) -> Laurent:
 def _plucking(t: Node) -> Laurent:
     """:func:`plucking`, one per distinct tree (shared between callers, so
     read only)."""
-    if not t.children:
+    if not t.children:  # a lone root, whatever its delay
         return dict(ONE)
-    if t.leaves == 1:  # a path: its leaf plucks down to the root, or never
-        return dict(ONE if t.hi == 1 else ZERO)
+    while len(t.children) == 1:
+        t = t.children[0]
+    if not t.children:  # a path: its leaf plucks down to the root, or never
+        return dict(ONE if t.delay == 1 else ZERO)
     split = find_splitting_subtree(t)
     if split is not None:
         return mul(
@@ -317,51 +327,41 @@ plucking_factored = plucking
 # -- reading a tree off a Catalan state ------------------------------------
 
 
-def tree_from_state(C) -> Node:
-    """Plane rooted tree of a Catalan state without bottom returns.
+def arch_tree(C) -> Node:
+    """T(C) below its root path: the vertex under the n strand vertices of
+    :func:`tree_from_state`, with every arch below it.  That path plucks
+    last, at q^0, so both trees have one plucking polynomial.
 
     Unfold the side points over the top: the clockwise word L_m..L_1,
     T_1..T_n, R_1..R_m becomes one top edge, so the state is arches over
-    that word plus strands dropping to the bottom edge.  The strands form a
-    path below the root (deepest strand = leftmost bottom point); every
-    arch hangs under the deepest strand vertex, or under the arch directly
-    enclosing it, keeping word order.  A leaf arch that was a side return
-    of the original state starts with delay equal to its lower end's index.
+    that word plus strands dropping to the bottom edge.  Each arch hangs
+    under the arch directly enclosing it, else under this vertex, in word
+    order; one pass makes its node when the walk meets its right end.  A
+    leaf arch that was a side return starts with its lower end's index as
+    its delay.
     """
-    n = C.n
+    n, m = C.n, C.m
     if classify(C).bottom_returns:
         raise ValueError("state has bottom returns")
-    m = C.m
     points, mate = _shape(m, n, n)[0], C.mate
     first, size = 2 * n + m, 2 * m + n  # L_m's clockwise position; word length
-
-    # arches by word position of their left end, grouped into a nesting
-    # forest, children in word order
-    roots: list = []
-    stack: list = []  # (right end, delay, children)
+    stack: list = [[]]  # children of this vertex, then of each open arch
     for a in range(size):
         k = (first + a) % len(points)
         b = (mate[k] - first) % len(points)
-        if not a < b < size:
-            continue
-        p, q = points[k], points[mate[k]]
-        rec = (b, max(p[1], q[1]) if p[0] == q[0] in ("L", "R") else 1, [])
-        while stack and stack[-1][0] < a:
-            stack.pop()
-        if stack:
-            stack[-1][2].append(rec)
-        else:
-            roots.append(rec)
-        stack.append(rec)
+        if a < b < size:
+            stack.append([])
+        elif b < a:  # the arch from b closes (a strand's b is past the word)
+            kids, (s, i), (t, j) = stack.pop(), points[k], points[mate[k]]
+            delay = max(i, j) if s == t in ("L", "R") and not kids else 1
+            stack[-1].append(Node(tuple(kids), delay))
+    return Node(tuple(stack[0]))
 
-    def build(rec) -> Node:
-        _, delay, kids = rec
-        if not kids:
-            return Node((), delay)
-        return Node(tuple(build(kid) for kid in kids))
 
-    top = [build(r) for r in roots]
-    node = Node(tuple(top)) if top or n == 0 else Node((), 1)
-    for _ in range(n):
+def tree_from_state(C) -> Node:
+    """The plane rooted tree T(C) of a Catalan state without bottom returns:
+    :func:`arch_tree` below n strand vertices (deepest: leftmost bottom)."""
+    node = arch_tree(C)
+    for _ in range(C.n):
         node = Node((node,))
     return node

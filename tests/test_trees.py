@@ -139,6 +139,50 @@ def test_one_leaf_trees_are_answered_without_plucking():
     assert T.plucking(waiting) == L.ZERO
 
 
+def hung(t, k):
+    """t below a root path of k vertices."""
+    for _ in range(k):
+        t = T.Node((t,))
+    return t
+
+
+def test_deep_trees_compare_without_recursion():
+    # two separately built paths: the plucking memo compares them node by node
+    a, b = hung(T.Node(), 3000), hung(T.Node(), 3000)
+    assert a is not b and a == b
+    assert T.plucking(a) == L.ONE
+    assert T.plucking(b) == L.ONE
+    assert a != hung(T.Node((), 2), 3000)
+    assert a != hung(T.Node(), 2999)
+    # equal stored hashes (forced here) do not hide a child missing at the end
+    leaf = T.Node()
+    short, long = T.Node((leaf,)), T.Node((leaf, leaf))
+    object.__setattr__(short, "_hash", long._hash)
+    assert short != long and long != short
+
+
+def test_a_root_path_plucks_last():
+    # Q(T) = Q(T_v), v the first vertex with two or more children
+    rng = random.Random(47)
+    checked = 0
+    for _ in range(60):
+        t = rand_tree(rng, 3, [1, 2, 3])
+        if t.size > 14:
+            continue  # the definition's cost grows fast with the size
+        if not t.children and t.delay > 1:
+            continue  # a lone leaf plucks to 1, a path ending in it to 0
+        want = plucking_by_definition(t)
+        # the identity holds for the definition itself, not only the library
+        assert plucking_by_definition(hung(t, 1)) == want, T.render_tree(t)
+        for k in (1, 2, 3):
+            assert T.plucking(hung(t, k)) == want, T.render_tree(t)
+        assert T.plucking(hung(t, 3000)) == want, T.render_tree(t)
+        checked += 1
+    assert checked > 40
+    assert T.plucking(T.parse_tree("((():2))")) == L.ZERO
+    assert T.plucking(T.parse_tree("():3")) == L.ONE
+
+
 def test_subtree_at_and_mirror():
     t = T.parse_tree("((())())")
     assert T.subtree_at(t, ()) == t
@@ -298,6 +342,17 @@ def test_tree_from_state():
     C = S.parse_state("cat(2,3): T1-L1, T2-T3, L2-B1, R1-B2, R2-B3")
     t = T.tree_from_state(C)
     assert T.render_tree(t) == "((((()()))))"
+    assert T.render_tree(T.arch_tree(C)) == "(()())"
     flipped = S.rotate_pi(C)
     with pytest.raises(ValueError, match="state has bottom returns"):
         T.tree_from_state(flipped)
+
+
+def test_arch_tree_of_deep_nesting_needs_no_recursion():
+    # the rainbow L_i-R_i of Cat(3000, 0): 3000 arches, each in the next
+    m = 3000
+    C = S.new_connection(m, 0, 0, [(("L", i), ("R", i)) for i in range(1, m + 1)])
+    t = T.arch_tree(C)
+    assert (t.size, t.leaves, t.lo, t.hi) == (m + 1, 1, 1, 1)
+    assert T.tree_from_state(C) == t
+    assert T.plucking(t) == L.ONE
