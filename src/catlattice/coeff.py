@@ -91,11 +91,10 @@ def coeff_no_bottom_returns(C: Connection) -> Laurent:
     state's plane rooted tree, plucked below its root path (``arch_tree``),
     normalized to minimum degree 0 and evaluated at q = A^-4.
     """
-    if classify(C).bottom_returns:
-        raise ValueError("state has bottom returns")
+    tree = arch_tree(C)  # rejects bottom returns, before realizability
     if not is_realizable(C):
         return dict(ZERO)
-    q = star_normalize(plucking(arch_tree(C)))
+    q = star_normalize(plucking(tree))
     return monomial_shift(substitute_power(q, -4), 2 * beta(C) - C.m * C.n)
 
 

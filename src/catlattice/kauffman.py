@@ -11,13 +11,14 @@ visited and unvisited crossings -- n column ports plus one horizontal
 port, each holding its mate's slot index or the code of the finished
 boundary point its strand ends at -- together with the strands already
 closed between finished points, one bit per pair of codes.
-``bracket_table`` keeps every frontier; ``oracle_coefficient`` looks a
-state's key up in the cached fold of its grid; ``bracket_coefficient_at``
-drops the frontiers that can no longer end at its target, and keeps its
-recent answers in a bounded cache (``_pruned_fold``), keyed by the state,
-since local-family companions repeat.  The two fold a grid along its
-shorter side, keyed by the codes of the quarter turn (``_frontier_key``),
-and build no turned state.
+``bracket_table`` keeps every frontier, grouped as ``{slots: {frozen:
+weight}}``; ``oracle_coefficient`` looks a state's key up in the cached
+fold of its grid; ``bracket_coefficient_at`` drops the frontiers that
+cannot end at its target, which leaves one frozen set per slots
+(``{slots: weight}``), and keeps its recent answers in a bounded cache
+(``_pruned_fold``), keyed by the state, since local-family companions
+repeat.  The two fold a grid along its shorter side, keyed by the codes
+of the quarter turn (``_frontier_key``), and build no turned state.
 
 Each fold weight is one int.  Multiplied by A^3 per crossing, a weight
 after t crossings is a polynomial in A^2 of degree at most 2t; slot s of
@@ -152,9 +153,14 @@ def _fold(m: int, n: int, allowed=None) -> dict:
     the frontier, or the negative code of the finished boundary point its
     strand ends at (``_codes``: -j for T_j, -n - 2i + 1 for L_i, -n - 2i
     for R_i).  Strands with both ends on finished points are frozen: an int
-    with one bit per code pair, bit number ``_codes(m, n)[2][a][b]`` for
-    codes a and b.  The key (slots, frozen) carries the summed weight of all
-    marker choices so far that lead to it.
+    with one bit per code pair, bit ``_codes(m, n)[2][a][b]`` for codes a
+    and b.  The full fold keeps ``{slots: {frozen: weight}}``, so each
+    distinct slots is stepped once per cell for all of its frozen sets.
+    With ``allowed``, the frozen pairs of a target, a branch that would
+    freeze any other pair is dropped.  The frozen pairs then match the
+    finished points that no slot names as the target does, so the slots
+    fix them, and the table is ``{slots: weight}``.  After the last row
+    the slots are the n columns, which end at B_1..B_n.
 
     Each cell takes two branches: north joins east and south joins west
     (weight A), or north joins west and south joins east (weight A^-1),
@@ -168,73 +174,110 @@ def _fold(m: int, n: int, allowed=None) -> dict:
     sum of the absolute coefficients of all weights (a branch weight is a
     single monomial), so no coefficient exceeds 2^(mn) < 2^(K-1) in size
     and the balanced slots decode exactly (``_unpack``).  Opening row i
-    puts L_i in slot n; closing it ends slot n's strand at R_i.  With
-    ``allowed`` given, a bitmask of code pairs, a branch that would freeze
-    a pair outside it is dropped.
-
-    OUTPUT: {(columns, frozen): packed weight} after the last row, where
-    ``columns`` holds the n column slots that end at B_1..B_n.
+    puts L_i in slot n; closing it ends slot n's strand at R_i.
     """
-    if allowed is None:
-        allowed = -1  # every bit set
     K = m * n + 2
     K2 = 2 * K
     bits = _codes(m, n)[2]
     h = n
     start = tuple(range(-1, -n - 1, -1)) + ((-n - 1,) if m else ())
-    table: dict = {(start, 0): 1}
+    table: dict = {start: {0: 1}} if allowed is None else {start: 1}
     for i in range(1, m + 1):
         for c in range(n):
             nxt: dict = {}
             get = nxt.get
-            for key, w in table.items():
-                slots, frozen = key
-                vn, vw = slots[c], slots[h]
-                if vn == h:  # north and west are mates
-                    nxt[key] = get(key, 0) - w
-                    continue
-                s = list(slots)
-                s[c], s[h] = vw, vn
-                if vn >= 0:
-                    s[vn] = h
-                if vw >= 0:
-                    s[vw] = c
-                key = (tuple(s), frozen)
-                nxt[key] = get(key, 0) + (w << K2)
-                s = list(slots)
-                s[c], s[h] = h, c
-                if vn >= 0:
-                    s[vn] = vw
-                    if vw >= 0:
-                        s[vw] = vn
-                elif vw >= 0:
-                    s[vw] = vn
-                else:
-                    bit = bits[vn][vw]
-                    if not allowed >> bit & 1:
+            if allowed is None:
+                for slots, group in table.items():
+                    vn, vw = slots[c], slots[h]
+                    if vn == h:  # north and west are mates
+                        g = nxt.setdefault(slots, {})
+                        for f, w in group.items():
+                            g[f] = g.get(f, 0) - w
                         continue
-                    frozen |= 1 << bit
-                key = (tuple(s), frozen)
-                nxt[key] = get(key, 0) + (w << K)
+                    s = list(slots)
+                    s[c], s[h] = vw, vn
+                    if vn >= 0:
+                        s[vn] = h
+                    if vw >= 0:
+                        s[vw] = c
+                    key = tuple(s)
+                    g = get(key)
+                    if g is None:
+                        nxt[key] = {f: w << K2 for f, w in group.items()}
+                    else:
+                        for f, w in group.items():
+                            g[f] = g.get(f, 0) + (w << K2)
+                    s = list(slots)
+                    s[c], s[h] = h, c
+                    bit = 0
+                    if vn >= 0:
+                        s[vn] = vw
+                        if vw >= 0:
+                            s[vw] = vn
+                    elif vw >= 0:
+                        s[vw] = vn
+                    else:
+                        bit = 1 << bits[vn][vw]
+                    key = tuple(s)
+                    g = get(key)
+                    if g is None:
+                        nxt[key] = {f | bit: w << K for f, w in group.items()}
+                    else:
+                        for f, w in group.items():
+                            f |= bit
+                            g[f] = g.get(f, 0) + (w << K)
+            else:  # the same steps on one weight per slots
+                for slots, w in table.items():
+                    vn, vw = slots[c], slots[h]
+                    if vn == h:
+                        nxt[slots] = get(slots, 0) - w
+                        continue
+                    s = list(slots)
+                    s[c], s[h] = vw, vn
+                    if vn >= 0:
+                        s[vn] = h
+                    if vw >= 0:
+                        s[vw] = c
+                    key = tuple(s)
+                    nxt[key] = get(key, 0) + (w << K2)
+                    s = list(slots)
+                    s[c], s[h] = h, c
+                    if vn >= 0:
+                        s[vn] = vw
+                        if vw >= 0:
+                            s[vw] = vn
+                    elif vw >= 0:
+                        s[vw] = vn
+                    elif not allowed >> bits[vn][vw] & 1:
+                        continue
+                    key = tuple(s)
+                    nxt[key] = get(key, 0) + (w << K)
             table = nxt
         right = -n - 2 * i  # R_i, the lowest code so far
         opened = (right - 1,) if i < m else ()  # L_(i+1)
         nxt = {}
         get = nxt.get
-        for (slots, frozen), w in table.items():
+        for slots, x in table.items():  # x: a frozen group, or one weight
             v = slots[h]
             cols = list(slots[:h])
+            bit = 0
             if v >= 0:
                 cols[v] = right
+            elif allowed is None:
+                bit = 1 << bits[right][v]
+            elif not allowed >> bits[right][v] & 1:
+                continue
+            key = tuple(cols) + opened
+            if allowed is None:
+                g = nxt.setdefault(key, {})
+                for f, w in x.items():
+                    g[f | bit] = g.get(f | bit, 0) + w
             else:
-                bit = bits[right][v]
-                if not allowed >> bit & 1:
-                    continue
-                frozen |= 1 << bit
-            key = (tuple(cols) + opened, frozen)
-            nxt[key] = get(key, 0) + w
+                nxt[key] = get(key, 0) + x
         table = nxt
-    return {k: w for k, w in table.items() if w}
+    if allowed is not None:
+        return {cols: w for cols, w in table.items() if w}
+    return {cols: {f: w for f, w in g.items() if w} for cols, g in table.items()}
 
 
 def _unpack(w: int, m: int, n: int, unturned: bool) -> Laurent:
@@ -259,24 +302,23 @@ def _unpack(w: int, m: int, n: int, unturned: bool) -> Laurent:
 def bracket_table(m: int, n: int, budget_bits=None) -> dict[Connection, Laurent]:
     """Bracket coefficient of every Catalan state of the m x n grid.
 
-    Folds the grid one crossing at a time over int-encoded frontiers (see
-    ``_fold``): partial matchings accumulate their total weight, and loops
-    closed at a crossing contribute the loop weight.  This regroups the
-    plain sum over all marker grids term by term, so it agrees exactly
-    with enumeration.  Each final frontier becomes one Connection, and
-    each packed weight one Laurent polynomial.
+    The full fold (``_fold``) regroups the plain sum over all marker grids
+    term by term, so it agrees exactly with enumeration.  Each final
+    frontier becomes one Connection, and each packed weight one Laurent
+    polynomial.
     """
     _check_budget(m, n, budget_bits)
     codes, where, bits = _codes(m, n)
     pair = {bits[a][b]: (a, b) for a in where for b in where if a < b < 0}
     table: dict[Connection, Laurent] = {}
-    for (cols, frozen), w in _fold(m, n).items():
-        ends = list(enumerate(cols))
-        ends += (pair[i] for i in range(frozen.bit_length()) if frozen >> i & 1)
-        mate = [0] * len(codes)
-        for a, b in ends:
-            mate[where[a]], mate[where[b]] = where[b], where[a]
-        table[_from_mate(m, n, n, mate)] = _unpack(w, m, n, True)
+    for cols, group in _fold(m, n).items():
+        for frozen, w in group.items():
+            ends = list(enumerate(cols))
+            ends += (pair[i] for i in range(frozen.bit_length()) if frozen >> i & 1)
+            mate = [0] * len(codes)
+            for a, b in ends:
+                mate[where[a]], mate[where[b]] = where[b], where[a]
+            table[_from_mate(m, n, n, mate)] = _unpack(w, m, n, True)
     return table
 
 
@@ -332,7 +374,8 @@ def oracle_coefficient(C: Connection, budget_bits=None) -> Laurent:
     its frontier key looked up in the cached full fold of its grid along
     the shorter side, which Cat(m,n) and Cat(n,m) share."""
     _check_budget(C.m, C.n, budget_bits)
-    w = _shape_fold(max(C.m, C.n), min(C.m, C.n)).get(_frontier_key(C), 0)
+    cols, frozen = _frontier_key(C)
+    w = _shape_fold(max(C.m, C.n), min(C.m, C.n)).get(cols, {}).get(frozen, 0)
     return _unpack(w, C.m, C.n, C.n <= C.m)
 
 
@@ -341,12 +384,10 @@ def bracket_coefficient_at(C: Connection) -> Laurent:
 
     Same cell-by-cell fold as ``bracket_table`` (see ``_fold``), but a
     branch is dropped as soon as it freezes a pair -- both ends on finished
-    boundary points (top, a left point of an opened row, a right point of a
-    closed row) -- that is not a pair of ``C``.  Strands still touching the
-    frontier stay, whatever ``C`` says.  This keeps the working table small
-    for a single wide target where the full table of its grid would be far
-    beyond any budget.  ``C`` itself is encoded as a final frontier key, so
-    the answer is one lookup.
+    boundary points -- that is not a pair of ``C``, and the table is keyed
+    by the slots alone.  This keeps the working table small for a single
+    wide target where the full table of its grid would be far beyond any
+    budget.  The answer is one lookup of ``C``'s columns.
 
     The grid is folded along its shorter side, keyed as the oracle keys it
     (``_frontier_key``); a quarter turn of the diagram inverts ``A``, which
@@ -364,6 +405,6 @@ def bracket_coefficient_at(C: Connection) -> Laurent:
 def _pruned_fold(C: Connection) -> Laurent:
     """The pruned-fold value of a Catalan state (shared between callers, so
     read only)."""
-    key = _frontier_key(C)
-    w = _fold(max(C.m, C.n), min(C.m, C.n), allowed=key[1]).get(key, 0)
+    cols, frozen = _frontier_key(C)
+    w = _fold(max(C.m, C.n), min(C.m, C.n), allowed=frozen).get(cols, 0)
     return _unpack(w, C.m, C.n, C.n <= C.m)

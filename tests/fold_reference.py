@@ -1,12 +1,14 @@
 """The marker-grid fold with one Laurent dict per weight, for the tests.
 
 ``kauffman._fold`` packs each weight into one int and each set of frozen
-pairs into one bitmask.  This copy keeps the earlier form -- a dict of
-exponents per weight, multiplied in by ``_add_product``, and a sorted tuple
-of frozen code pairs -- so the packed fold is checked against a fold that
-shares no arithmetic with it.  It reads the loop weight from ``kauffman``
-and keeps its own point order (``_points``), so it shares no encoding with
-the packed fold either.
+pairs into one bitmask, groups a full fold's table by slots and keys a
+target fold by the slots alone.  This copy keeps the earlier form -- a
+dict of exponents per weight, multiplied in by ``_add_product``, a sorted
+tuple of frozen code pairs, and one (slots, frozen) key per entry in both
+kinds of fold -- so the packed fold is checked against a fold that shares
+no arithmetic and no table layout with it.  It reads the loop weight from
+``kauffman`` and keeps its own point order (``_points``), so it shares no
+encoding with the packed fold either.
 
 ``bracket_table_by_enumeration`` is the literal sum over all 2^(mn) marker
 grids, each smoothed by ``kauffman.smooth``.
