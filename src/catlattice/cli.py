@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Iterable
 
 from . import coeff as engine
 from . import kauffman, laurent, maxseq, samples, states, trees
@@ -29,10 +30,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _inputs(raw: str) -> list[str]:
+def _inputs(raw: str) -> Iterable[str]:
     if raw != "-":
         return [raw]
-    return [line.strip() for line in sys.stdin if line.strip()]
+    # lazily: each answer prints before the next stdin line is read
+    return (line.strip() for line in sys.stdin if line.strip())
 
 
 def _cmd_coeff(args) -> int:

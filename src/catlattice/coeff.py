@@ -4,18 +4,19 @@ Strategy pipeline for the coefficient of a Catalan state: realizability
 short-circuit, the tree formula when one boundary edge is return-free,
 vertical decomposition at saturated lines, removable-arc reduction,
 vertical factorization through local families, and finally the
-brute-force oracle within budget.  Every rewrite is logged in a trace
-whose factors multiply back to the reported value.
+brute-force oracle within budget.  Every rewrite is logged as a trace
+step, and the trace is the engine's one result: ``coefficient`` reports
+the product of its factors.
 
 The reductions leave smaller states, and across a stream of states those
 recur, so ``_reduce`` keeps one bounded per-state memo of the reduction:
-a repeated state's value and trace steps are reused, not rebuilt.
-``coefficient`` hands out fresh copies of both.  Most of the reuse is at
-the leaves, the tree-formula and oracle states, which recur from one item
-to the next; the bound of 512 entries holds them across a table of states.
-A cold pass over every 4th Cat(4,5) state makes 2,424 reductions at 64
-entries, 2,138 at 512 and 1,986 with no bound; all of Cat(4,5) makes
-8,216, 6,743 and 5,931.
+a repeated state's trace steps are reused, not rebuilt.  ``coefficient``
+hands out fresh copies of them.  Most of the reuse is at the leaves, the
+tree-formula and oracle states, which recur from one item to the next;
+the bound of 512 entries holds them across a table of states.  A cold
+pass over every 4th Cat(4,5) state makes 2,424 reductions at 64 entries,
+2,138 at 512 and 1,986 with no bound; all of Cat(4,5) makes 8,216, 6,743
+and 5,931.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .laurent import (
     ONE,
     ZERO,
     div_exact,
-    is_monomial,
     max_degree,
     min_degree,
     monomial,
@@ -222,82 +222,73 @@ def coefficient(
 ) -> tuple[Laurent, list[TraceStep]]:
     """Coefficient of a Catalan state, with the reduction trace.
 
-    The product of the trace factors equals the returned polynomial.  The
-    value, the list and every step's factor are fresh copies, so callers
-    may mutate them.
+    The value is the product of the trace factors: the reduction yields its
+    steps only, and the factors equal to 1 (the structural steps) are
+    skipped.  The value, the list and every step's factor are fresh copies,
+    so callers may mutate them.
     """
-    value, steps = _reduce(C, _budget(budget_bits))
-    return dict(value), [TraceStep(s.kind, s.detail, dict(s.factor)) for s in steps]
+    steps = _reduce(C, _budget(budget_bits))
+    factors = [s.factor for s in steps if s.factor != ONE]
+    value = dict(factors[0]) if factors else dict(ONE)
+    for factor in factors[1:]:
+        value = mul(value, factor)
+    return value, [TraceStep(s.kind, s.detail, dict(s.factor)) for s in steps]
 
 
-def _tree_step(C: Connection) -> tuple[Laurent, tuple[TraceStep, ...]]:
-    """Tree-formula value of a realizable state without bottom returns."""
+def _tree_step(C: Connection) -> tuple[TraceStep]:
+    """The tree-formula step of a realizable state without bottom returns."""
     value = coeff_no_bottom_returns(C)
     # the formula's top term is A^(2*beta - mn), so beta need not be rerun
     b = (max_degree(value) + C.m * C.n) // 2
-    return value, (TraceStep("tree-formula", f"m={C.m} n={C.n} beta={b}", value),)
+    return (TraceStep("tree-formula", f"m={C.m} n={C.n} beta={b}", value),)
 
 
 # 512 entries hold a table's recurring leaves (module docstring); 1024
 # saves few more reductions on the Cat(4,5) pass (2,011 against 2,138)
 # and costs 0.5 to 1 kB of memory an entry
 @lru_cache(maxsize=512)
-def _reduce(C, budget) -> tuple[Laurent, tuple[TraceStep, ...]]:
-    """(value, trace steps) of C under an oracle budget of ``budget`` bits
-    (shared between callers, so read only).  No chain of rewrites returns
-    to a state: a removable arc drops a row, and a family rewrite keeps the
-    shape but lowers the count of arcs with clockwise-neighbour ends, since
-    its rainbow is the one matching of its interval with a single such arc."""
+def _reduce(C, budget) -> tuple[TraceStep, ...]:
+    """Trace steps of C under an oracle budget of ``budget`` bits, whose
+    factors multiply to C's coefficient (shared between callers, so read
+    only).  No chain of rewrites returns to a state: a removable arc drops
+    a row, and a family rewrite keeps the shape but lowers the count of
+    arcs with clockwise-neighbour ends, since its rainbow is the one
+    matching of its interval with a single such arc."""
     if not is_realizable(C):
-        zero = dict(ZERO)
-        return zero, (
-            TraceStep("realizability", "a cut line is crossed too often", zero),
-        )
+        return (TraceStep("realizability", "a cut line is crossed too often", ZERO),)
     census = classify(C)
     if census.bottom_returns == 0:
         return _tree_step(C)
     if census.top_returns == 0:
-        value, steps = _tree_step(rotate_pi(C))
-        turn = TraceStep("rotate-pi", "bottom returns only; half-turn image", dict(ONE))
-        return value, (turn,) + steps
+        turn = TraceStep("rotate-pi", "bottom returns only; half-turn image", ONE)
+        return (turn,) + _tree_step(rotate_pi(C))
     parts = vertical_decompose(C)
     if len(parts) > 1:
-        value = dict(ONE)
-        steps = (
-            TraceStep(
-                "vertical-decompose",
-                f"{len(parts)} blocks at saturated lines",
-                dict(ONE),
-            ),
-        )
+        detail = f"{len(parts)} blocks at saturated lines"
+        steps = (TraceStep("vertical-decompose", detail, ONE),)
         for part in parts:
-            part_value, part_steps = _reduce(part, budget)
-            value = mul(value, part_value)
-            steps += part_steps
-        return value, steps
+            steps += _reduce(part, budget)
+        return steps
     step = reduce_removable(C)
     if step is not None:
         factor, reduced, arc = step
-        value, steps = _reduce(reduced, budget)
         removal = TraceStep(
             "removable-arc", f"{_point_text(arc[0])}-{_point_text(arc[1])}", factor
         )
-        return mul(factor, value), (removal,) + steps
+        return (removal,) + _reduce(reduced, budget)
     for fam in iter_vertical_factorizations(C):
         lam_mate = _rainbow(C.mate, fam.start, fam.length)
         if lam_mate == C.mate:
             continue  # the family already is the rainbow, so C_lam == C
-        left, left_steps = _reduce(_companion(C, fam), budget)
-        right, right_steps = _reduce(_from_mate(C.m, C.n, C.n, lam_mate), budget)
         split = TraceStep(
             "vertical-factor",
             f"{fam.length // 2} arcs at boundary offset {fam.start}",
-            dict(ONE),
+            ONE,
         )
-        return mul(left, right), (split,) + left_steps + right_steps
+        left = _reduce(_companion(C, fam), budget)
+        return (split,) + left + _reduce(_from_mate(C.m, C.n, C.n, lam_mate), budget)
     if C.m * C.n <= budget:
-        value = oracle_coefficient(C, budget)
-        return value, (oracle_step(C, value),)
+        return (oracle_step(C, oracle_coefficient(C, budget)),)
     raise BudgetError(
         f"unreachable within budget: no reduction applies to this "
         f"{C.m}x{C.n} state and its grid exceeds the oracle budget"
@@ -330,54 +321,40 @@ def _bracket(c: int) -> Laurent:
     return out
 
 
-def _quotient(P: Laurent, d: Laurent) -> Optional[Laurent]:
-    """P / d, or None where d does not divide P."""
-    try:
-        return div_exact(P, d)
-    except ValueError:
-        return None
-
-
-def _divide_out(P: Laurent, d: Laurent) -> tuple[Laurent, int]:
-    """P with every factor d divided out, and how many there were."""
-    times = 0
-    while (Q := _quotient(P, d)) is not None:
-        P, times = Q, times + 1
-    return P, times
-
-
 def lm3_closed_form(C: Connection) -> Lm3Form:
     """Closed-form parameters (a, b, c) of a realizable width-3 state.
 
     Vertically decomposable states have coefficient A^a Y^b X^c and the
     others A^a Y^b (Y^(2c) - 1)/X, with Y = A^-2 + A^2, X = A^-4 + 1 + A^4.
     P comes from the pruned fold (``bracket_coefficient_at``), which needs
-    no oracle budget.  A failed fit raises: the shapes are guaranteed, so
-    failure is a bug.
+    no oracle budget.  The parameters are read from P: at A = 1, Y is 2, X
+    is 3 and (Y^(2c) - 1)/X is the odd (4^c - 1)/3, so P(1) = 2^b w gives b,
+    c is the power of 3 in w or the c with 3w + 1 = 4^c, and P's lowest
+    degree gives a.  The one check is that the form's value is P.  A failed
+    fit raises, as does an indecomposable one with b > 1: the shapes are
+    guaranteed, so failure is a bug.
     """
     if C.n != 3:
         raise ValueError("closed forms need width 3")
     if not is_realizable(C):
         raise ValueError("state is not realizable")
     P = bracket_coefficient_at(C)
-    if is_vertically_decomposable(C) is not None:
-        P, c = _divide_out(P, _X)
-        P, b = _divide_out(P, _Y)
-        if not is_monomial(P) or P[min_degree(P)] != 1:
-            raise AssertionError("decomposable fit failed")
-        return Lm3Form("decomposable", min_degree(P), b, c)
-    PX = mul(P, _X)
-    for b in (0, 1):
-        S = _quotient(PX, power(_Y, b))
-        if S is None:
-            continue
-        span = max_degree(S) - min_degree(S)
-        if span % 8:
-            continue
-        c = span // 8
-        if c < 1:
-            continue
-        residue = _quotient(S, _bracket(c)) or {}
-        if is_monomial(residue) and residue[min_degree(residue)] == 1:
-            return Lm3Form("indecomposable", min_degree(residue), b, c)
-    raise AssertionError("indecomposable fit failed")
+    decomposable = is_vertically_decomposable(C) is not None
+    kind = "decomposable" if decomposable else "indecomposable"
+    at_one = sum(P.values())
+    if at_one <= 0:
+        raise AssertionError(f"{kind} fit failed")
+    b = (at_one & -at_one).bit_length() - 1
+    odd = at_one >> b
+    if decomposable:
+        c = 0
+        while odd % 3 == 0:
+            odd, c = odd // 3, c + 1
+        low = -2 * b - 4 * c  # the lowest degree of Y^b X^c
+    else:
+        c = (3 * odd + 1).bit_length() // 2  # 3 * odd + 1 = 4^c
+        low = 4 - 2 * b - 4 * c  # of Y^b (Y^(2c) - 1)/X
+    form = Lm3Form(kind, min_degree(P) - low, b, c)
+    if (b > 1 and not decomposable) or form.value() != P:
+        raise AssertionError(f"{kind} fit failed")
+    return form

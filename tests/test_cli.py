@@ -215,6 +215,21 @@ def test_stdin_streams_one_result_per_line():
     assert b.stdout == "1\n0\n"
 
 
+def test_stdin_answers_each_line_before_reading_the_next(monkeypatch, capsys):
+    class Cut(Exception):
+        pass
+
+    def feed():
+        yield "cat(1,1): T1-R1, L1-B1\n"
+        yield "\n"
+        raise Cut  # the stream breaks before EOF
+
+    monkeypatch.setattr(sys, "stdin", feed())
+    with pytest.raises(Cut):
+        cli.main(["realizable", "-"])
+    assert capsys.readouterr().out == "true\n"
+
+
 def test_invalid_state_text_exits_1():
     r = run("coeff", "cat(1,1): T1+R1")
     assert r.returncode == 1

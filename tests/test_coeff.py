@@ -260,15 +260,45 @@ def test_lm3_closed_form_past_the_oracle_budget(text, want):
     assert form.value() == K.bracket_coefficient_at(C)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_lm3_forms_reevaluate(m):
+    # the forms are read from the pruned fold; the engine is the reference
     for C in S.enumerate_catalan(m, 3):
         if not S.is_realizable(C):
             continue
         form = E.lm3_closed_form(C)
         assert form.kind in ("decomposable", "indecomposable")
+        if form.kind == "indecomposable":
+            assert form.b in (0, 1) and form.c >= 1, (S.render_state(C), form)
         value, _ = E.coefficient(C)
         assert form.value() == value, S.render_state(C)
+
+
+LM3_DECOMPOSABLE = "cat(2,3): T1-T2, T3-R1, L1-B2, L2-B1, R2-B3"
+LM3_INDECOMPOSABLE = "cat(1,3): T1-T2, T3-R1, L1-B1, B2-B3"
+
+
+@pytest.mark.parametrize(
+    "text, P, message",
+    [
+        # P(1) = 5 is no 2^b 3^c
+        (LM3_DECOMPOSABLE, {0: 5}, "decomposable fit failed"),
+        # P(1) = 4: b = 2 and an odd rest of 1 read c = 1, whose form is not 4
+        (LM3_INDECOMPOSABLE, {0: 4}, "indecomposable fit failed"),
+        # a true indecomposable form, but with b = 2
+        (LM3_INDECOMPOSABLE, E.Lm3Form("indecomposable", 0, 2, 1).value(),
+         "indecomposable fit failed"),
+        # P(1) <= 0 has no power of 2 to read
+        (LM3_DECOMPOSABLE, {0: -1}, "decomposable fit failed"),
+        (LM3_DECOMPOSABLE, L.ZERO, "decomposable fit failed"),
+        (LM3_INDECOMPOSABLE, {-4: 1, 0: -1}, "indecomposable fit failed"),
+        (LM3_INDECOMPOSABLE, L.ZERO, "indecomposable fit failed"),
+    ],
+)
+def test_lm3_values_without_a_closed_form_raise(monkeypatch, text, P, message):
+    monkeypatch.setattr(E, "bracket_coefficient_at", lambda C: dict(P))
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        E.lm3_closed_form(S.parse_state(text))
 
 
 def test_sample_constructors_validate():
@@ -316,6 +346,30 @@ def test_width_three_closed_forms_past_m_five():
             )
             compared += 1
     print(f"{len(stuck)} draws raised BudgetError", stuck)
+
+
+def test_reduction_yields_trace_steps_only():
+    for C in (samples.factor_sample_state(), S.parse_state(REMOVE_THEN_ORACLE)):
+        steps = E._reduce(C, K._budget(None))
+        assert isinstance(steps, tuple) and steps
+        assert all(isinstance(step, E.TraceStep) for step in steps)
+
+
+def test_a_unit_tree_formula_step_reads_one():
+    # the product skips unit factors; a trace of one unit factor is still 1
+    value, trace = E.coefficient(S.parse_state("cat(1,2): T1-T2, L1-B1, R1-B2"))
+    assert value == L.ONE and value is not L.ONE
+    assert trace == [E.TraceStep("tree-formula", "m=1 n=2 beta=1", {0: 1})]
+
+
+def test_an_unrealizable_state_reads_zero():
+    value, trace = E.coefficient(
+        S.parse_state("cat(2,2): T1-B1, T2-B2, L1-L2, R1-R2")
+    )
+    assert value == L.ZERO
+    assert trace == [
+        E.TraceStep("realizability", "a cut line is crossed too often", {})
+    ]
 
 
 def test_reduction_memo_is_bounded():
