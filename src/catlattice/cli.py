@@ -7,6 +7,11 @@ sweep.  State and tree arguments are single strings in the grammars of
 ``states.parse_state`` / ``trees.parse_tree``; passing ``-`` reads one
 input per line from stdin.
 
+One table, ``_COMMANDS``, builds every subparser.  The eight per-input
+subcommands answer through one loop over the inputs: each names what its
+argument parses to and gives a function from one parsed input to its
+output lines.
+
 Exit codes: 0 success, 1 invalid input (including input nested too deeply
 to process), 2 oracle budget exhausted, 3 self-test failure.
 """
@@ -37,25 +42,42 @@ def _inputs(raw: str) -> Iterable[str]:
     return (line.strip() for line in sys.stdin if line.strip())
 
 
-def _cmd_coeff(args) -> int:
-    for text in _inputs(args.state):
-        C = states.parse_state(text)
-        if args.method == "oracle":
-            value = kauffman.oracle_coefficient(C, args.budget_bits)
-            trace = [engine.oracle_step(C, value)]
-        else:
-            value, trace = engine.coefficient(C, args.budget_bits)
-        print(laurent.render(value))
-        if args.trace:
-            print(engine.render_trace(trace))
+def _cmd_each(args) -> int:
+    """Answer a per-input subcommand: parse each input, print its lines."""
+    for text in _inputs(args.input):
+        for line in args.answer(args.parse(text), args):
+            print(line)
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    for text in _inputs(args.state):
-        C = states.parse_state(text)
-        print(laurent.render(kauffman.oracle_coefficient(C, args.budget_bits)))
-    return 0
+def _coeff(C, args):
+    if args.method == "oracle":
+        value = kauffman.oracle_coefficient(C, args.budget_bits)
+        trace = [engine.oracle_step(C, value)]
+    else:
+        value, trace = engine.coefficient(C, args.budget_bits)
+    yield laurent.render(value)
+    if args.trace:
+        yield engine.render_trace(trace)
+
+
+def _oracle(C, args):
+    yield laurent.render(kauffman.oracle_coefficient(C, args.budget_bits))
+
+
+def _reductions(C, args):
+    for arc in states.find_removable_arcs(C):
+        a, b = states.extended_labels(C, arc)
+        name = "-".join(map(states._point_text, arc))
+        yield f"removable {name}: {laurent.render(laurent.monomial(b - a))}"
+    for fam in engine.iter_vertical_factorizations(C):
+        names = ", ".join("-".join(map(states._point_text, a)) for a in fam.arcs)
+        yield f"family start={fam.start} length={fam.length}: {names}"
+
+
+def _lm3(C, args):
+    form = engine.lm3_closed_form(C)
+    yield f"{form.kind} a={form.a} b={form.b} c={form.c}"
 
 
 def _cmd_enumerate(args) -> int:
@@ -67,53 +89,6 @@ def _cmd_enumerate(args) -> int:
             value, _ = engine.coefficient(C, args.budget_bits)
             line += "\t" + laurent.render(value)
         print(line)
-    return 0
-
-
-def _cmd_realizable(args) -> int:
-    for text in _inputs(args.state):
-        C = states.parse_state(text)
-        print("true" if states.is_realizable(C) else "false")
-    return 0
-
-
-def _cmd_reductions(args) -> int:
-    for text in _inputs(args.state):
-        C = states.parse_state(text)
-        for arc in states.find_removable_arcs(C):
-            a, b = states.extended_labels(C, arc)
-            name = "-".join(map(states._point_text, arc))
-            print(f"removable {name}: {laurent.render(laurent.monomial(b - a))}")
-        for fam in engine.iter_vertical_factorizations(C):
-            names = ", ".join("-".join(map(states._point_text, a)) for a in fam.arcs)
-            print(f"family start={fam.start} length={fam.length}: {names}")
-    return 0
-
-
-def _cmd_plucking(args) -> int:
-    for text in _inputs(args.tree):
-        t = trees.parse_tree(text)
-        print(laurent.render(trees.plucking(t), var="q"))
-    return 0
-
-
-def _cmd_beta(args) -> int:
-    for text in _inputs(args.state):
-        print(maxseq.beta(states.parse_state(text)))
-    return 0
-
-
-def _cmd_maxseq(args) -> int:
-    for text in _inputs(args.state):
-        b = maxseq.max_sequence(states.parse_state(text))
-        print(" ".join(str(x) for x in b))
-    return 0
-
-
-def _cmd_lm3(args) -> int:
-    for text in _inputs(args.state):
-        form = engine.lm3_closed_form(states.parse_state(text))
-        print(f"{form.kind} a={form.a} b={form.b} c={form.c}")
     return 0
 
 
@@ -181,58 +156,54 @@ def _cmd_selftest(args) -> int:
     return 3 if failures else 0
 
 
+_BUDGET = (("--budget-bits",), dict(type=int, default=None))
+
+# name, help, what the input argument parses to (None: a whole-command
+# handler instead of a per-input answer), handler, further arguments
+_COMMANDS = (
+    ("coeff", "coefficient of a Catalan state", "state", _coeff, (
+        (("--method",), dict(choices=("auto", "oracle"), default="auto")),
+        (("--trace",), dict(action="store_true", help="print reduction steps")),
+        _BUDGET,
+    )),
+    ("oracle", "brute-force bracket coefficient", "state", _oracle, (_BUDGET,)),
+    ("enumerate", "stream all states of Cat(m,n)", None, _cmd_enumerate, (
+        (("m",), dict(type=int)),
+        (("n",), dict(type=int)),
+        (("--realizable",), dict(action="store_true", help="realizable only")),
+        (("--coeffs",), dict(action="store_true", help="append coefficients")),
+        _BUDGET,
+    )),
+    ("realizable", "print true/false", "state",
+     lambda C, args: ["true" if states.is_realizable(C) else "false"], ()),
+    ("reductions", "list removable arcs and local families", "state",
+     _reductions, ()),
+    ("plucking", "plucking polynomial of a plane tree", "tree",
+     lambda t, args: [laurent.render(trees.plucking(t), var="q")], ()),
+    ("beta", "maximal total weight of a realizing grid", "state",
+     lambda C, args: [str(maxseq.beta(C))], ()),
+    ("maxseq", "row counts of the maximal realizing grid", "state",
+     lambda C, args: [" ".join(map(str, maxseq.max_sequence(C)))], ()),
+    ("lm3", "closed-form classification for width 3", "state", _lm3, ()),
+    ("selftest", "oracle sweep plus golden samples", None, _cmd_selftest, (
+        (("--max-mn",), dict(type=int, default=9, dest="max_mn")),
+    )),
+)
+_PARSE = {"state": states.parse_state, "tree": trees.parse_tree}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="catlattice", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("coeff", help="coefficient of a Catalan state")
-    p.add_argument("state")
-    p.add_argument("--method", choices=("auto", "oracle"), default="auto")
-    p.add_argument("--trace", action="store_true", help="print reduction steps")
-    p.add_argument("--budget-bits", type=int, default=None)
-    p.set_defaults(func=_cmd_coeff)
-
-    p = sub.add_parser("oracle", help="brute-force bracket coefficient")
-    p.add_argument("state")
-    p.add_argument("--budget-bits", type=int, default=None)
-    p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("enumerate", help="stream all states of Cat(m,n)")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("--realizable", action="store_true", help="realizable only")
-    p.add_argument("--coeffs", action="store_true", help="append coefficients")
-    p.add_argument("--budget-bits", type=int, default=None)
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("realizable", help="print true/false")
-    p.add_argument("state")
-    p.set_defaults(func=_cmd_realizable)
-
-    p = sub.add_parser("reductions", help="list removable arcs and local families")
-    p.add_argument("state")
-    p.set_defaults(func=_cmd_reductions)
-
-    p = sub.add_parser("plucking", help="plucking polynomial of a plane tree")
-    p.add_argument("tree")
-    p.set_defaults(func=_cmd_plucking)
-
-    p = sub.add_parser("beta", help="maximal total weight of a realizing grid")
-    p.add_argument("state")
-    p.set_defaults(func=_cmd_beta)
-
-    p = sub.add_parser("maxseq", help="row counts of the maximal realizing grid")
-    p.add_argument("state")
-    p.set_defaults(func=_cmd_maxseq)
-
-    p = sub.add_parser("lm3", help="closed-form classification for width 3")
-    p.add_argument("state")
-    p.set_defaults(func=_cmd_lm3)
-
-    p = sub.add_parser("selftest", help="oracle sweep plus golden samples")
-    p.add_argument("--max-mn", type=int, default=9, dest="max_mn")
-    p.set_defaults(func=_cmd_selftest)
-
+    for name, help_text, kind, handler, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if kind is None:
+            p.set_defaults(func=handler)
+        else:
+            p.add_argument("input", metavar=kind)
+            p.set_defaults(func=_cmd_each, parse=_PARSE[kind], answer=handler)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
     return parser
 
 

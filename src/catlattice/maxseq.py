@@ -4,19 +4,16 @@ For a realizable state without bottom returns, the top coefficient of its
 bracket contribution comes from a unique row-sorted marker grid (each row
 all +1s then all -1s); ``beta`` is that grid's +1 count and
 ``max_sequence`` its per-row counts.
+
+Both read the boundary coordinates of the arcs' ends off their positions
+in the clockwise word from L_m, the word :func:`trees.arch_tree` walks:
+``states.coordinate`` defines the same numbers point by point.
 """
 
 from __future__ import annotations
 
 from .kauffman import smooth
-from .states import (
-    Connection,
-    _shape,
-    classify,
-    coordinate,
-    identity_state,
-    is_realizable,
-)
+from .states import Connection, classify, identity_state, is_realizable
 
 
 def _check(C: Connection) -> None:
@@ -27,16 +24,19 @@ def _check(C: Connection) -> None:
 
 
 def _upper_arcs(C: Connection) -> list[tuple[int, int]]:
-    """Coordinate pairs (p < q) of the arcs avoiding the bottom edge."""
-    m, n = C.m, C.n
-    points = _shape(m, n, n)[0]
+    """Coordinate pairs (p < q) of the arcs avoiding the bottom edge.
+
+    The word L_m..L_1 T_1..T_n R_1..R_m B_n..B_1 starts at L_m's clockwise
+    position 2n + m.  The point at index a of it has coordinate
+    a + 1 - n - m, so R_m's is m and the bottom points read past it.
+    """
+    m, n, mate = C.m, C.n, C.mate
+    N, first, shift = len(mate), 2 * n + m, 1 - n - m
     out = []
-    for k, j in enumerate(C.mate):
-        p, q = points[k], points[j]
-        if k > j or p[0] == "B" or q[0] == "B":
-            continue
-        a, b = coordinate(p, m, n), coordinate(q, m, n)
-        out.append((a, b) if a < b else (b, a))
+    for k, j in enumerate(mate):
+        a, b = (k - first) % N + shift, (j - first) % N + shift
+        if k < j and a <= m and b <= m:
+            out.append((a, b) if a < b else (b, a))
     return out
 
 

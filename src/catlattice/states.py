@@ -17,11 +17,13 @@ earlier endpoint of each pair written first.
 A connection is its shape plus ``mate``: ``mate[k]`` is the position of
 the partner of the point at position k of :func:`boundary_points` order
 (T1..Tn_t, R1..Rm, Bn_b..B1, Lm..L1, positions 0..N-1).  The pairs are
-derived from it.  Every connection goes through :func:`_from_mate`, which
-checks ``mate``; :func:`new_connection` maps outside pairs to positions.
-Inside the module an arc is its two positions: points appear only in
-text, public arguments and returned pairs, ``_shape`` alone maps them to
-positions, and :func:`_arc` is the one checked lookup of a point pair.
+derived from it on each read, never stored: the text form and the repr
+read them, and no engine path does.  Every connection goes through
+:func:`_from_mate`, which checks ``mate``; :func:`new_connection` maps
+outside pairs to positions.  Inside the module an arc is its two
+positions: points appear only in text, public arguments and returned
+pairs, ``_shape`` alone maps them to positions, and :func:`_arc` is the
+one checked lookup of a point pair.
 
 Boundary questions -- cut lines, the arc census, removable arcs, local
 families, the tree of a state -- read ``mate`` against tables built once
@@ -61,26 +63,6 @@ _LEVEL_BITS = 2  # bits per level digit of a multiset int (see _side_walks)
 _set = object.__setattr__  # how a value class sets its own fields
 
 
-class _stored:
-    """A derived attribute computed on its first read and stored in the
-    instance dict.  A non-data descriptor, so later reads are plain
-    attribute hits; unlike ``functools.cached_property`` on Python 3.11,
-    the first read takes no lock."""
-
-    def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
-
-
 class _Value:
     """Immutable, with the hash of its fields stored in ``_hash``."""
 
@@ -110,7 +92,7 @@ class Connection(_Value):
             point at position k of ``boundary_points(m, n_t, n_b)``.
     """
 
-    __slots__ = ("m", "n_t", "n_b", "mate", "_hash", "__dict__")
+    __slots__ = ("m", "n_t", "n_b", "mate", "_hash")
     __hash__ = _Value.__hash__  # defining __eq__ would otherwise unset it
 
     def __init__(self, m: int, n_t: int, n_b: int, mate: tuple[int, ...]):
@@ -129,10 +111,11 @@ class Connection(_Value):
     def __reduce__(self):
         return Connection, (self.m, self.n_t, self.n_b, self.mate)
 
-    @_stored
+    @property
     def pairs(self) -> tuple[Pair, ...]:
         """The matched pairs in reading order (top, left, right, then
-        bottom points, index ascending), the earlier end of each first."""
+        bottom points, index ascending), the earlier end of each first;
+        derived from ``mate`` on each read."""
         points = _shape(self.m, self.n_t, self.n_b)[0]
         return tuple((points[k], points[j]) for k, j in _reading_arcs(self))
 

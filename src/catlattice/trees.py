@@ -14,6 +14,12 @@ subtrees, Q(T) = Q(T') Q(T''), and sums over plucks only where no split
 exists.  A run of sibling subtrees T' splits off when its greatest leaf
 delay is at most the least leaf delay outside it.
 
+Both identities rewrite a tree above one vertex: plucking a leaf drops it
+and ticks every other leaf, and a split's complementary tree T'' puts a
+bare path with as many vertices in place of T'.  One helper
+(:func:`_respine`) makes both edits and rebuilds the path above the vertex
+in one loop, so the vertex may lie at any depth.
+
 Every node stores its counts at construction, from its children's:
 vertex count ``size``, ``leaves``, and the least and greatest leaf delay
 ``lo`` and ``hi`` (an inner node's own delay of 1 is not a leaf delay).
@@ -202,26 +208,34 @@ def _ticked(t: Node) -> Node:
     return Node(tuple(_ticked(c) for c in t.children))
 
 
+def _respine(t: Node, path: Path, start: int, stop: int, run, other) -> Node:
+    """t with children[start:stop] of the vertex at ``path`` replaced by
+    ``run``, and ``other`` applied to every other child of that vertex and
+    of the vertices above it, which one loop rebuilds from the bottom up."""
+    spine = [t]  # the vertices from the root down to the one at path
+    for k in path:
+        spine.append(spine[-1].children[k])
+    cuts = [(k, k + 1) for k in path] + [(start, stop)]
+    for node, (a, b) in zip(reversed(spine), reversed(cuts)):
+        kids = node.children
+        run = (Node((*map(other, kids[:a]), *run, *map(other, kids[b:]))),)
+    return run[0]
+
+
 def pluck(t: Node, path: Path) -> Node:
     """Remove a pluckable leaf and tick every other leaf's delay down.
 
     A vertex that loses its last child becomes a leaf of delay 1.
     """
-    spine = [t]  # the vertices on the path, root first
+    leaf = t
     for k in path:
-        kids = spine[-1].children
-        if not 0 <= k < len(kids):
+        if not 0 <= k < len(leaf.children):
             raise ValueError("leaf is not pluckable")
-        spine.append(kids[k])
-    leaf = spine.pop()
+        leaf = leaf.children[k]
     if not path or leaf.children or leaf.delay != 1:
         raise ValueError("leaf is not pluckable")
-    below: tuple[Node, ...] = ()  # the rebuilt path child; none for the leaf
-    for node, k in zip(reversed(spine), reversed(path)):
-        kids = node.children
-        left, right = map(_ticked, kids[:k]), map(_ticked, kids[k + 1 :])
-        below = (Node((*left, *below, *right)),)
-    return below[0]
+    k = path[-1]
+    return _respine(t, path[:-1], k, k + 1, (), _ticked)
 
 
 # -- factoring through splitting subtrees ---------------------------------
@@ -243,19 +257,10 @@ def split_subtree(t: Node, split: Split) -> Node:
 
 def complementary_tree(t: Node, split: Split) -> Node:
     """T with the split's children replaced by an equal-size bare path."""
-    run = subtree_at(t, split.path).children[split.start : split.stop]
-    chain = (path_tree(sum(c.size for c in run) - 1),)
-
-    def rebuild(node: Node, p: Path) -> Node:
-        if not p:
-            kids = node.children
-            return Node(kids[: split.start] + chain + kids[split.stop :])
-        k = p[0]
-        kids = list(node.children)
-        kids[k] = rebuild(kids[k], p[1:])
-        return Node(tuple(kids))
-
-    return rebuild(t, split.path)
+    path, start, stop = split
+    run = subtree_at(t, path).children[start:stop]
+    chain = path_tree(sum(c.size for c in run) - 1)
+    return _respine(t, path, start, stop, (chain,), lambda c: c)
 
 
 def find_splitting_subtree(t: Node) -> Optional[Split]:

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line interface."""
 
+import re
 import subprocess
 import sys
 
@@ -215,19 +216,41 @@ def test_stdin_streams_one_result_per_line():
     assert b.stdout == "1\n0\n"
 
 
-def test_stdin_answers_each_line_before_reading_the_next(monkeypatch, capsys):
+ONE = "cat(1,1): T1-R1, L1-B1"
+# each per-input subcommand, one input line, and that line's whole answer
+PER_INPUT = [
+    ("coeff", ONE, "A\n"),
+    ("oracle", ONE, "A\n"),
+    ("realizable", ONE, "true\n"),
+    ("reductions", "cat(2,2): T1-T2, L1-B2, L2-B1, R1-R2",
+     "removable T1-T2: 1\nremovable L1-B2: A^2\nremovable L2-B1: A^2\n"
+     "family start=4 length=4: L1-B2, L2-B1\n"),
+    ("plucking", "(()())", "1 + q\n"),
+    ("beta", ONE, "1\n"),
+    ("maxseq", ONE, "1\n"),
+    ("lm3", "cat(4,3): T1-T2, T3-R1, L1-L2, L3-L4, R2-R3, R4-B3, B1-B2",
+     "indecomposable a=0 b=1 c=2\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, line, answer", PER_INPUT, ids=[case[0] for case in PER_INPUT]
+)
+def test_stdin_answers_each_line_before_reading_the_next(
+    monkeypatch, capsys, command, line, answer
+):
     class Cut(Exception):
         pass
 
     def feed():
-        yield "cat(1,1): T1-R1, L1-B1\n"
+        yield line + "\n"
         yield "\n"
         raise Cut  # the stream breaks before EOF
 
     monkeypatch.setattr(sys, "stdin", feed())
     with pytest.raises(Cut):
-        cli.main(["realizable", "-"])
-    assert capsys.readouterr().out == "true\n"
+        cli.main([command, "-"])
+    assert capsys.readouterr().out == answer
 
 
 def test_invalid_state_text_exits_1():
@@ -240,6 +263,11 @@ def test_usage_error_exits_1():
     r = run("frobnicate")
     assert r.returncode == 1
     assert "usage" in r.stderr.lower()
+    listed = r.stderr.split("choose from", 1)[1]
+    assert re.findall(r"\w+", listed) == [
+        "coeff", "oracle", "enumerate", "realizable", "reductions",
+        "plucking", "beta", "maxseq", "lm3", "selftest",
+    ]
 
 
 def test_selftest_passes_quickly_at_small_size():

@@ -1,6 +1,10 @@
 """Exponent-maximizing marker grids: beta and the per-row count sequence."""
 
+import random
+
 import pytest
+from maxseq_reference import upper_arcs
+from test_boundary_view import random_state
 
 from catlattice import kauffman as K
 from catlattice import laurent as L
@@ -77,3 +81,21 @@ def test_beta_under_quarter_turn():
         o = K.oracle_coefficient(C)
         t = K.oracle_coefficient(S.rotate_quarter(C))
         assert L.max_degree(t) == -L.min_degree(o)
+
+
+def test_coordinates_from_positions_match_the_per_point_definition():
+    checked = 0
+    for total in range(10):
+        for m in range(total + 1):
+            for C in S.enumerate_catalan(m, total - m):
+                if S.is_realizable(C) and no_bottom_returns(C):
+                    assert M._upper_arcs(C) == upper_arcs(C), S.render_state(C)
+                    checked += 1
+    assert checked == 5538
+    # bottom arcs are skipped either way, so any draw compares
+    rng = random.Random(20261021)
+    for m in range(10):
+        for n in range(10):
+            for _ in range(20):
+                C = random_state(rng, m, n)
+                assert M._upper_arcs(C) == upper_arcs(C), S.render_state(C)

@@ -320,6 +320,18 @@ def test_split_product_identity():
     assert checked > 40, "sampling found too few splittable trees"
 
 
+def test_edits_far_below_the_root_need_no_recursion():
+    # a star with leaf delays (1, 1, 2) under a 3,000-vertex path: both
+    # edits rebuild the path above the star in one loop
+    star = T.Node((T.Node(), T.Node(), T.Node((), 2)))
+    t, depth = hung(star, 3000), (0,) * 3000
+    split = T.Split(depth, 0, 2)
+    assert T.complementary_tree(t, split) == hung(
+        T.Node((T.path_tree(1), T.Node((), 2))), 3000
+    )
+    assert T.pluck(t, depth + (0,)) == hung(T.Node((T.Node(), T.Node())), 3000)
+
+
 def test_plucking_equals_the_definition():
     rng = random.Random(29)
     for _ in range(120):

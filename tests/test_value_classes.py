@@ -70,7 +70,7 @@ def test_fields_cannot_be_assigned_or_deleted():
 
 def test_pickle_and_deepcopy_round_trips():
     C = S.parse_state("cat(2,2): T1-L1, T2-R1, L2-B1, R2-B2")
-    C.pairs  # a stored attribute does not travel, it is derived again
+    C.pairs  # derived from mate on each read: only the fields travel
     t = T.parse_tree("((():3)(():2))")
     for obj in (C, t):
         copies = (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj))
