@@ -12,8 +12,8 @@ subcommands answer through one loop over the inputs: each names what its
 argument parses to and gives a function from one parsed input to its
 output lines.
 
-Exit codes: 0 success, 1 invalid input (including input nested too deeply
-to process), 2 oracle budget exhausted, 3 self-test failure.
+Exit codes: 0 success, 1 invalid input (including input past the recursion
+limit), 2 oracle budget exhausted, 3 self-test failure.
 """
 
 from __future__ import annotations
@@ -68,10 +68,10 @@ def _oracle(C, args):
 def _reductions(C, args):
     for arc in states.find_removable_arcs(C):
         a, b = states.extended_labels(C, arc)
-        name = "-".join(map(states._point_text, arc))
-        yield f"removable {name}: {laurent.render(laurent.monomial(b - a))}"
+        factor = laurent.render(laurent.monomial(b - a))
+        yield f"removable {states._arc_text(arc)}: {factor}"
     for fam in engine.iter_vertical_factorizations(C):
-        names = ", ".join("-".join(map(states._point_text, a)) for a in fam.arcs)
+        names = ", ".join(map(states._arc_text, fam.arcs))
         yield f"family start={fam.start} length={fam.length}: {names}"
 
 
@@ -219,7 +219,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
-        print("error: input nests too deeply", file=sys.stderr)
+        print("error: input exceeds the recursion limit", file=sys.stderr)
         return 1
 
 

@@ -2,9 +2,9 @@
 
 Strategy pipeline for the coefficient of a Catalan state: realizability
 short-circuit, the tree formula when one boundary edge is return-free,
-vertical decomposition at saturated lines, removable-arc reduction,
-vertical factorization through local families, and finally the
-brute-force oracle within budget.  Every rewrite is logged as a trace
+vertical decomposition at saturated lines (``states.vertical_decompose``),
+removable-arc reduction, vertical factorization through local families,
+and finally the brute-force oracle within budget.  Every rewrite is logged as a trace
 step, and the trace is the engine's one result: ``coefficient`` reports
 the product of its factors.
 
@@ -45,10 +45,10 @@ from .states import (
     Connection,
     Pair,
     _LEVEL_BITS,
+    _arc_text,
     _from_mate,
     _labels,
     _level_prefix,
-    _point_text,
     _rainbow,
     _reading_arcs,
     _remove,
@@ -59,8 +59,7 @@ from .states import (
     is_realizable,
     is_vertically_decomposable,
     rotate_pi,
-    split_at,
-    view,
+    vertical_decompose,
 )
 from .trees import arch_tree, plucking
 
@@ -202,21 +201,6 @@ def _pattern_companion(top: tuple[int, ...]) -> Connection:
     return _from_mate(length // 2, length, length, _rainbow(wired, 2 * length, length))
 
 
-def vertical_decompose(C: Connection) -> list[Connection]:
-    """Indecomposable blocks between consecutive saturated interior lines."""
-    n, counts = C.n, view(C).horizontal
-    cuts = [i for i in range(1, C.m) if counts[i] == n]
-    parts = []
-    rest = C
-    taken = 0
-    for i in cuts:
-        top, rest = split_at(rest, i - taken)
-        parts.append(top)
-        taken = i
-    parts.append(rest)
-    return parts
-
-
 def coefficient(
     C: Connection, budget_bits=None
 ) -> tuple[Laurent, list[TraceStep]]:
@@ -272,9 +256,7 @@ def _reduce(C, budget) -> tuple[TraceStep, ...]:
     step = reduce_removable(C)
     if step is not None:
         factor, reduced, arc = step
-        removal = TraceStep(
-            "removable-arc", f"{_point_text(arc[0])}-{_point_text(arc[1])}", factor
-        )
+        removal = TraceStep("removable-arc", _arc_text(arc), factor)
         return (removal,) + _reduce(reduced, budget)
     for fam in iter_vertical_factorizations(C):
         lam_mate = _rainbow(C.mate, fam.start, fam.length)

@@ -41,11 +41,12 @@ levels of any stretch are one subtraction.  The side walks are the
 clockwise order cut at the right and the left side, so an arc has a
 side-walk level only where its ends are clockwise neighbours.
 
-Symmetries, tau-shifts and arc removal are relabellings of positions.
-The half turn, the quarter turn and the tau-shifts keep the clockwise
-order of the points, and arc removal keeps it for the points it leaves:
-each reads the clockwise word from some position, skips the removed arc,
-if any, and lays the rest onto the positions of a new shape
+Symmetries, tau-shifts, arc removal and the blocks between saturated
+horizontal lines are relabellings of positions.  The half turn, the
+quarter turn and the tau-shifts keep the clockwise order of the points,
+and arc removal and the blocks keep it for the points they leave: each
+reads the clockwise word from some position, skips the removed arcs, if
+any, and lays the rest onto the positions of a new shape
 (:func:`_relabel`).  The reflection reverses the order.
 """
 
@@ -55,7 +56,7 @@ import re
 from functools import lru_cache
 from itertools import accumulate
 from operator import sub
-from typing import Iterator, NamedTuple, Optional
+from typing import AbstractSet, Iterator, NamedTuple, Optional
 
 Point = tuple[str, int]
 Pair = tuple[Point, Point]
@@ -133,7 +134,7 @@ class Connection(_Value):
     def __repr__(self):
         if self.is_catalan:
             return render_state(self)
-        body = ", ".join(f"{_point_text(p)}-{_point_text(q)}" for p, q in self.pairs)
+        body = ", ".join(map(_arc_text, self.pairs))
         return f"conn({self.m},{self.n_t},{self.n_b}): {body}"
 
 
@@ -148,6 +149,10 @@ def boundary_points(m: int, n_t: int, n_b: int) -> list[Point]:
 
 def _point_text(p: Point) -> str:
     return f"{p[0]}{p[1]}"
+
+
+def _arc_text(arc: Pair) -> str:
+    return f"{_point_text(arc[0])}-{_point_text(arc[1])}"
 
 
 _SIDE_RANK = {"T": 0, "L": 1, "R": 2, "B": 3}
@@ -207,8 +212,9 @@ def _from_mate(m: int, n_t: int, n_b: int, mate) -> Connection:
     # name the crossing with the first left end, as a scan would
     a, c = next((a, c) for a in range(N) for c in range(a + 1, mate[a])
                 if mate[c] > mate[a])
-    t = [_point_text(p) for p in _shape(m, n_t, n_b)[0]]
-    raise ValueError(f"crossing pair {t[a]}-{t[mate[a]]} / {t[c]}-{t[mate[c]]}")
+    points = _shape(m, n_t, n_b)[0]
+    ab, cd = (_arc_text((points[k], points[mate[k]])) for k in (a, c))
+    raise ValueError(f"crossing pair {ab} / {cd}")
 
 
 def new_connection(m: int, n_t: int, n_b: int, pairs) -> Connection:
@@ -244,7 +250,7 @@ def render_state(C: Connection) -> str:
     """Canonical text form of a Catalan state."""
     if not C.is_catalan:
         raise ValueError("only Catalan states have a text form")
-    body = ", ".join(f"{_point_text(p)}-{_point_text(q)}" for p, q in C.pairs)
+    body = ", ".join(map(_arc_text, C.pairs))
     return f"cat({C.m},{C.n_t}):" + (" " + body if body else "")
 
 
@@ -439,7 +445,7 @@ def _relabel(
     n_t: int,
     n_b: int,
     at: int = 0,
-    drop: tuple[int, ...] = (),
+    drop: AbstractSet[int] = frozenset(),
 ) -> Connection:
     """Lay C's clockwise word onto the positions of an (m, n_t, n_b) piece.
 
@@ -602,7 +608,7 @@ def _remove(C: Connection, a: int, b: int) -> Connection:
         start, at = n, n
     else:
         start, at = 2 * n + m, 2 * n + m - 1
-    return _relabel(C, start, m - 1, n, n, at, (a, b))
+    return _relabel(C, start, m - 1, n, n, at, {a, b})
 
 
 # -- extended labels and removability -------------------------------------
@@ -718,28 +724,34 @@ def is_vertically_decomposable(C: Connection) -> Optional[int]:
     return next((i for i, k in enumerate(view(C).horizontal) if k == n), None)
 
 
+def _block(C: Connection, i0: int, i1: int) -> Connection:
+    """Rows i0+1..i1 of C, between saturated horizontal lines i0 < i1: C's
+    clockwise word from L_i0 (T1 if i0 = 0) laid onto Cat(i1 - i0, n) from
+    T1, less the arcs with both ends above line i0 (row depth at most i0)
+    or both below line i1.  The n arcs crossing each line keep both ends,
+    the block's top or bottom points; the grid's own top and bottom edges
+    stay in the outer blocks."""
+    m, n, mate = C.m, C.n, C.mate
+    row = _shape(m, n, n)[4][1]
+    top = i0 if i0 else -1  # line 0 leaves the top edge in
+    bottom = i1 if i1 < m else m + 1  # and line m the bottom edge
+    drop = {k for k, j in enumerate(mate)
+            if row[k] <= top and row[j] <= top or row[k] > bottom and row[j] > bottom}
+    return _relabel(C, len(mate) - i0, i1 - i0, n, n, drop=drop)
+
+
 def split_at(C: Connection, i: int) -> tuple[Connection, Connection]:
     """Cut along a saturated horizontal line into Cat(i,n) * Cat(m-i,n)."""
     n = C.n
     if line_intersections(C, "horizontal", i) != n:
         raise ValueError("line is not saturating")
-    a, b = _cut(C, "horizontal", i)
-    mate, N = C.mate, len(C.mate)
-    # above the line T1..Tn and R1..R_i keep their positions, Bn..B1 follow
-    # and L_i..L1 close the word; below it the stretch follows T1..Tn
-    up = [k if k < a else k - b + a + n for k in range(N)]
-    upper, lower = [0] * (N - b + a + n), [0] * (b - a + n)
-    # the upper ends of the crossing arcs, read clockwise from L_i round to
-    # R_i, meet B1..Bn above the line and T1..Tn below it
-    j = 0
-    for k in [*range(b, N), *range(a)]:
-        if a <= mate[k] < b:
-            upper[up[k]], upper[a + n - 1 - j] = a + n - 1 - j, up[k]
-            lower[mate[k] - a + n], lower[j] = j, mate[k] - a + n
-            j += 1
-        else:
-            upper[up[k]] = up[mate[k]]
-    for k in range(a, b):
-        if a <= mate[k] < b:
-            lower[k - a + n] = mate[k] - a + n
-    return _from_mate(i, n, n, upper), _from_mate(C.m - i, n, n, lower)
+    return _block(C, 0, i), _block(C, i, C.m)
+
+
+def vertical_decompose(C: Connection) -> list[Connection]:
+    """Indecomposable blocks between consecutive saturated interior lines."""
+    n, m, counts = C.n, C.m, view(C).horizontal
+    lines = [0, *(i for i in range(1, m) if counts[i] == n), m]
+    if len(lines) == 2:
+        return [C]
+    return [_block(C, i0, i1) for i0, i1 in zip(lines, lines[1:])]

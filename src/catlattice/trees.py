@@ -141,8 +141,11 @@ def parse_tree(text: str) -> Node:
     return out
 
 
-def subtree_at(t: Node, path: Path) -> Node:
+def subtree_at(t: Node, path: Path) -> Optional[Node]:
+    """The vertex at ``path``, or None if t has no such vertex."""
     for k in path:
+        if not 0 <= k < len(t.children):
+            return None
         t = t.children[k]
     return t
 
@@ -227,12 +230,8 @@ def pluck(t: Node, path: Path) -> Node:
 
     A vertex that loses its last child becomes a leaf of delay 1.
     """
-    leaf = t
-    for k in path:
-        if not 0 <= k < len(leaf.children):
-            raise ValueError("leaf is not pluckable")
-        leaf = leaf.children[k]
-    if not path or leaf.children or leaf.delay != 1:
+    leaf = subtree_at(t, path)
+    if not path or leaf is None or leaf.children or leaf.delay != 1:
         raise ValueError("leaf is not pluckable")
     k = path[-1]
     return _respine(t, path[:-1], k, k + 1, (), _ticked)
@@ -249,18 +248,24 @@ class Split(NamedTuple):
     stop: int
 
 
+def _site(t: Node, split: Split) -> tuple[Node, ...]:
+    """The run of children a split names; raises ValueError unless its
+    path exists in t and 0 <= start < stop <= the vertex's child count."""
+    v = subtree_at(t, split.path)
+    if v is None or not 0 <= split.start < split.stop <= len(v.children):
+        raise ValueError("split site not in tree")
+    return v.children[split.start : split.stop]
+
+
 def split_subtree(t: Node, split: Split) -> Node:
     """The factor T': the split vertex with the chosen run of children."""
-    v = subtree_at(t, split.path)
-    return Node(v.children[split.start : split.stop])
+    return Node(_site(t, split))
 
 
 def complementary_tree(t: Node, split: Split) -> Node:
     """T with the split's children replaced by an equal-size bare path."""
-    path, start, stop = split
-    run = subtree_at(t, path).children[start:stop]
-    chain = path_tree(sum(c.size for c in run) - 1)
-    return _respine(t, path, start, stop, (chain,), lambda c: c)
+    chain = path_tree(sum(c.size for c in _site(t, split)) - 1)
+    return _respine(t, split.path, split.start, split.stop, (chain,), lambda c: c)
 
 
 def find_splitting_subtree(t: Node) -> Optional[Split]:

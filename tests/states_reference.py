@@ -1,8 +1,13 @@
 """Earlier forms of ``states`` code, kept for the tests.
 
 ``vertical_product`` and its absorbing zero ``K0`` stack two states, and
-the tests use them as the inverse of ``split_at`` and to build
-decomposable states; no library path needs them.
+the tests use them as the inverse of ``split_at`` and
+``vertical_decompose`` and to build decomposable states; no library path
+needs them.
+
+``split_at`` is the cut at a saturated line as it was before every block
+became one relabelling (``states._block``): hand-built index arithmetic
+that lays the two sides of the line onto two new partner arrays.
 
 ``view`` is the boundary view as it was before the per-shape depth table:
 a scan of each stretch per cut line and a census of side-letter strings.
@@ -23,10 +28,12 @@ from catlattice.states import (
     StateClass,
     _arc,
     _cut,
+    _from_mate,
     _relabel,
     _shape,
     _side_walks,
     glue_vertical,
+    line_intersections,
 )
 from levels_reference import _removable
 
@@ -56,6 +63,33 @@ def vertical_product(C1, C2):
         return K0
     glued, loops = glue_vertical(C1, C2)
     return K0 if loops else glued
+
+
+def split_at(C: Connection, i: int) -> tuple[Connection, Connection]:
+    """Cut along a saturated horizontal line into Cat(i,n) * Cat(m-i,n)."""
+    n = C.n
+    if line_intersections(C, "horizontal", i) != n:
+        raise ValueError("line is not saturating")
+    a, b = _cut(C, "horizontal", i)
+    mate, N = C.mate, len(C.mate)
+    # above the line T1..Tn and R1..R_i keep their positions, Bn..B1 follow
+    # and L_i..L1 close the word; below it the stretch follows T1..Tn
+    up = [k if k < a else k - b + a + n for k in range(N)]
+    upper, lower = [0] * (N - b + a + n), [0] * (b - a + n)
+    # the upper ends of the crossing arcs, read clockwise from L_i round to
+    # R_i, meet B1..Bn above the line and T1..Tn below it
+    j = 0
+    for k in [*range(b, N), *range(a)]:
+        if a <= mate[k] < b:
+            upper[up[k]], upper[a + n - 1 - j] = a + n - 1 - j, up[k]
+            lower[mate[k] - a + n], lower[j] = j, mate[k] - a + n
+            j += 1
+        else:
+            upper[up[k]] = up[mate[k]]
+    for k in range(a, b):
+        if a <= mate[k] < b:
+            lower[k - a + n] = mate[k] - a + n
+    return _from_mate(i, n, n, upper), _from_mate(C.m - i, n, n, lower)
 
 
 def _cut_counts(mate: tuple[int, ...], a: int, b: int, lines: int) -> tuple[int, ...]:

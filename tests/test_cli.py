@@ -161,13 +161,25 @@ def test_plucking_command():
     assert bad.stderr.startswith("error: unbalanced")
 
 
-@pytest.mark.parametrize("depth", [3000])
-def test_deep_tree_exits_1_without_a_traceback(depth):
-    deep = "(" * depth + ")" * depth
-    for r in (run("plucking", deep), run("plucking", "-", stdin=deep + "\n")):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("plucking", "(" * 3000 + ")" * 3000),
+        # neither nests: a flat star's split chain and the nested generators
+        # of a long enumeration reach the limit all the same
+        ("plucking", "(" + "()" * 500 + ")"),
+        ("enumerate", "1200", "1"),
+    ],
+    ids=["3000", "flat-star-500", "enumerate-1200-1"],
+)
+def test_deep_tree_exits_1_without_a_traceback(argv):
+    runs = [run(*argv)]
+    if argv[0] == "plucking":
+        runs.append(run("plucking", "-", stdin=argv[1] + "\n"))
+    for r in runs:
         assert r.returncode == 1
         assert r.stdout == ""
-        assert r.stderr == "error: input nests too deeply\n"
+        assert r.stderr == "error: input exceeds the recursion limit\n"
 
 
 def test_deep_path_plucks_to_one():

@@ -158,9 +158,9 @@ def test_vertical_decompose():
     a = S.parse_state("cat(1,2): T1-T2, L1-B1, R1-B2")
     b = S.parse_state("cat(1,2): T1-L1, T2-R1, B1-B2")
     C = R.vertical_product(a, b)
-    assert E.vertical_decompose(C) == [a, b]
+    assert S.vertical_decompose(C) == [a, b]
     lone = S.parse_state("cat(2,2): T1-T2, L1-R1, L2-R2, B1-B2")
-    assert E.vertical_decompose(lone) == [lone]
+    assert S.vertical_decompose(lone) == [lone]
 
 
 def test_decompose_trace_golden():

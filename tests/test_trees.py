@@ -301,6 +301,25 @@ def test_splitting_subtree():
     assert T.find_splitting_subtree(T.path_tree(4)) is None
 
 
+@pytest.mark.parametrize(
+    "split",
+    [
+        T.Split((), 1, 1),  # an empty run: once a tree with an extra leaf
+        T.Split((), 2, 1),  # a reversed run: once two extra leaves
+        T.Split((), 0, 3),
+        T.Split((), -1, 1),
+        T.Split((2,), 0, 1),  # once a bare IndexError
+        T.Split((-1,), 0, 1),
+        T.Split((0,), 0, 1),  # a leaf has no children to split off
+    ],
+)
+def test_split_sites_are_checked(split):
+    cherry = T.parse_tree("(()())")
+    for edit in (T.split_subtree, T.complementary_tree):
+        with pytest.raises(ValueError, match="split site not in tree"):
+            edit(cherry, split)
+
+
 def test_split_product_identity():
     rng = random.Random(17)
     checked = 0
