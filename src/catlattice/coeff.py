@@ -29,7 +29,7 @@ from .laurent import (
     Laurent,
     ONE,
     ZERO,
-    div_exact,
+    add,
     max_degree,
     min_degree,
     monomial,
@@ -293,14 +293,11 @@ class Lm3Form(NamedTuple):
         base = mul(monomial(self.a), power(_Y, self.b))
         if self.kind == "decomposable":
             return mul(base, power(_X, self.c))
-        return mul(base, div_exact(_bracket(self.c), _X))
-
-
-def _bracket(c: int) -> Laurent:
-    """Y^(2c) - 1, the numerator of the indecomposable form."""
-    out = dict(power(_Y, 2 * c))
-    out[0] = out.get(0, 0) - 1
-    return out
+        # (Y^(2c) - 1)/X = 1 + Y^2 + ... + Y^(2c-2), since X = Y^2 - 1
+        total = ZERO
+        for k in range(self.c):
+            total = add(total, power(_Y, 2 * k))
+        return mul(base, total)
 
 
 def lm3_closed_form(C: Connection) -> Lm3Form:

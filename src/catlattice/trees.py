@@ -97,48 +97,42 @@ def render_tree(t: Node) -> str:
     return "(" + "".join(render_tree(c) for c in t.children) + ")"
 
 
-def parse_tree(text: str) -> Node:
-    i = 0
-
-    def skip_ws():
-        nonlocal i
-        while i < len(text) and text[i].isspace():
-            i += 1
-
-    def node() -> Node:
-        nonlocal i
-        skip_ws()
-        if i >= len(text) or text[i] != "(":
-            raise ValueError(f"expected '(' at position {i} in tree text")
+def _skip_ws(text: str, i: int) -> int:
+    while i < len(text) and text[i].isspace():
         i += 1
-        kids = []
-        while True:
-            skip_ws()
-            if i >= len(text):
-                raise ValueError("unbalanced '(' in tree text")
-            if text[i] == ")":
-                i += 1
-                break
-            kids.append(node())
-        delay = 1
-        skip_ws()
-        if i < len(text) and text[i] == ":":
+    return i
+
+
+def parse_tree(text: str) -> Node:
+    stack: list[list[Node]] = []  # the children read so far of each open vertex
+    i = 0
+    while True:
+        i = _skip_ws(text, i)
+        at = text[i : i + 1]  # "" past the end
+        if not stack or at not in (")", ""):  # a vertex opens here
+            if at != "(":
+                raise ValueError(f"expected '(' at position {i} in tree text")
+            stack.append([])
             i += 1
-            skip_ws()
-            j = i
+            continue
+        if not at:
+            raise ValueError("unbalanced '(' in tree text")
+        i, delay = _skip_ws(text, i + 1), 1  # the innermost open vertex closes
+        if i < len(text) and text[i] == ":":
+            i = j = _skip_ws(text, i + 1)
             while j < len(text) and text[j].isdigit():
                 j += 1
             if j == i:
                 raise ValueError(f"expected delay digits at position {i}")
-            delay = int(text[i:j])
-            i = j
-        return Node(tuple(kids), delay)  # checks the delay
-
-    out = node()
-    skip_ws()
+            i, delay = j, int(text[i:j])
+        node = Node(tuple(stack.pop()), delay)  # checks the delay
+        if not stack:
+            break
+        stack[-1].append(node)
+    i = _skip_ws(text, i)
     if i != len(text):
         raise ValueError(f"trailing text at position {i} in tree text")
-    return out
+    return node
 
 
 def subtree_at(t: Node, path: Path) -> Optional[Node]:
@@ -174,16 +168,15 @@ def ordered_rooted_sum(t1: Node, t2: Node) -> Node:
 def pluckable_leaves(t: Node) -> list[Path]:
     """Paths of the delay-1 leaves, in plane left-to-right order."""
     out: list[Path] = []
-
-    def walk(node: Node, path: Path):
+    stack: list[tuple[Path, Node]] = [((), t)]  # popped leftmost first
+    while stack:
+        path, node = stack.pop()
         if node.lo > 1:
-            return
+            continue
         if path and not node.children:
             out.append(path)
-        for k, c in enumerate(node.children):
-            walk(c, path + (k,))
-
-    walk(t, ())
+        kids = node.children
+        stack.extend((path + (k,), kids[k]) for k in reversed(range(len(kids))))
     return out
 
 

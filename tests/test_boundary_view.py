@@ -252,8 +252,9 @@ def ref_vertical_factorizations(C):
     m, n = C.m, C.n
     pts = boundary_points(m, n, n)
     N = len(pts)
-    total_arcs = len(C.pairs)
-    outside_js = {arc: ref_adjacent_descriptions(arc, m, n) for arc in C.pairs}
+    pairs = C.pairs  # the property builds a new tuple on every read
+    total_arcs = len(pairs)
+    outside_js = {arc: ref_adjacent_descriptions(arc, m, n) for arc in pairs}
     out = []
     for start in range(N):
         for length in range(4, N, 2):
@@ -261,7 +262,7 @@ def ref_vertical_factorizations(C):
             iset = set(interval)
             lam_arcs = []
             closed = True
-            for arc in C.pairs:
+            for arc in pairs:
                 inside = (arc[0] in iset) + (arc[1] in iset)
                 if inside == 1:
                     closed = False
@@ -281,7 +282,7 @@ def ref_vertical_factorizations(C):
                     continue
                 lam_set = set(lam_arcs)
                 foreign = (
-                    j for arc in C.pairs if arc not in lam_set for j in outside_js[arc]
+                    j for arc in pairs if arc not in lam_set for j in outside_js[arc]
                 )
                 if any(lam_js[0] < j < lam_js[-1] for j in foreign):
                     continue

@@ -74,6 +74,39 @@ def test_parse_tree_errors(bad, msg):
         T.parse_tree(bad)
 
 
+# the parsed tree's text or the exact error message: where whitespace may
+# go, how delay digits read and which position each error names
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (" ( ( ) : 2 ) ", "(():2)"),
+        ("(():2 )", "(():2)"),
+        ("(() :2)", "(():2)"),
+        ("(():  7)", "(():7)"),
+        ("(():02)", "(():2)"),
+        ("( )", "()"),
+        ("(\t()\n)", "(())"),
+        ("(():2:3)", "expected '(' at position 5 in tree text"),
+        ("(():2 3)", "expected '(' at position 6 in tree text"),
+        ("(() x", "expected '(' at position 4 in tree text"),
+        ("((:2))", "expected '(' at position 2 in tree text"),
+        (")", "expected '(' at position 0 in tree text"),
+        ("", "expected '(' at position 0 in tree text"),
+        ("(()))", "trailing text at position 4 in tree text"),
+        ("((", "unbalanced '(' in tree text"),
+        ("(():0)", "delay must be at least 1"),
+        ("(()):2", "only leaves carry a delay"),
+        ("((()):2)", "only leaves carry a delay"),
+    ],
+)
+def test_parse_tree_edge_cases(text, expected):
+    try:
+        got = T.render_tree(T.parse_tree(text))
+    except ValueError as e:
+        got = str(e)
+    assert got == expected
+
+
 def _vertex_paths(t):
     out = [()]
     for path in out:
@@ -113,6 +146,14 @@ def test_counts_of_a_deep_path_need_no_recursion():
     assert p.size == 5001
     assert p.leaves == 1
     assert (p.lo, p.hi) == (1, 1)
+
+
+def test_deep_text_parses_and_plucks_without_recursion():
+    t = T.parse_tree("(" * 5000 + ")" * 5000)
+    assert t.size == 5000
+    assert t == T.path_tree(4999)
+    assert T.pluckable_leaves(t) == [(0,) * 4999]
+    assert T.plucking(t) == L.ONE
 
 
 def test_path_tree():
