@@ -164,12 +164,15 @@ def test_plucking_command():
 @pytest.mark.parametrize(
     "argv",
     [
+        # a 3,000-deep tree that is no path parses, but ticking its deep
+        # leaf at the first pluck recurses once per level
+        ("plucking", "(" + "(" * 2998 + "():2" + ")" * 2998 + "()" + ")"),
         # neither input nests: a flat star's split chain and the nested
         # generators of a long enumeration still reach the limit
         ("plucking", "(" + "()" * 500 + ")"),
         ("enumerate", "1200", "1"),
     ],
-    ids=["flat-star-500", "enumerate-1200-1"],
+    ids=["3000", "flat-star-500", "enumerate-1200-1"],
 )
 def test_deep_tree_exits_1_without_a_traceback(argv):
     runs = [run(*argv)]
